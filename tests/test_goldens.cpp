@@ -1,7 +1,8 @@
 /**
  * Golden-file regression tests: byte-exact JSON of a small fixed
- * Session sweep and a fixed seeded ServeSession run, pinned against
- * checked-in fixtures under tests/goldens/. Any behavior change in
+ * Session sweep, a fixed seeded ServeSession run, and a feature-cluster
+ * run with every routing and control-plane mechanism firing, pinned
+ * against checked-in fixtures under tests/goldens/. Any behavior change in
  * the hot path — timing, energy, stats, scheduling, serialization —
  * shows up as a diff here instead of sliding silently.
  *
@@ -27,6 +28,7 @@
 
 #include "api/serve_session.hpp"
 #include "api/session.hpp"
+#include "serve/scheduler.hpp"
 #include "sim/json.hpp"
 
 using namespace hygcn;
@@ -218,4 +220,63 @@ TEST(Goldens, AnalyticServeRunJsonIsByteStable)
             .run();
     ASSERT_EQ(result.requests.size(), result.config.numRequests);
     compareOrUpdate("serve_run_analytic.json", toJson(result));
+}
+
+TEST(Goldens, FeatureClusterServeRunJsonIsByteStable)
+{
+    // Every routing and control-plane mechanism at once on a
+    // two-class hygcn full/lean cluster: edf with preemption, energy
+    // lookahead routing with affinity, queue-depth autoscaling and a
+    // binding power cap, measured pricing, materialized stats. The
+    // feature counters must all fire, so the golden pins the code
+    // paths where they interact, not just the default schedule.
+    HyGCNConfig lean;
+    lean.simdCores = 16;
+    lean.systolicModules = 4;
+    serve::ServeConfig config =
+        api::ServeSession()
+            .datasetScale(0.25)
+            .kernelThreads(1)
+            .scenario("cora", "gcn")
+            .scenario("citeseer", "gcn")
+            .instanceClass("hygcn", 2, HyGCNConfig{})
+            .instanceClass("hygcn", 2, lean)
+            .tenant("interactive", 0.6, {3.0, 1.0}, 800000, 0.0)
+            .tenant("analytics", 0.4, {1.0, 3.0}, 0, 1.0)
+            .requests(3000)
+            .meanInterarrival(100000.0)
+            .seed(7)
+            .arrivalProcess("heavy-tail")
+            .policy("edf")
+            .maxBatch(4)
+            .batchTimeout(200000)
+            .costModel("measured")
+            .routeObjective("energy")
+            .lookaheadRouting()
+            .affinityMargin(0.1)
+            .scalingPolicy("queue-depth")
+            .powerCap(18.0)
+            .preemption()
+            .config();
+    config.cluster.classes[0].name = "hygcn-full";
+    config.cluster.classes[1].name = "hygcn-lean";
+    for (serve::ClusterSpec::InstanceClass &cls : config.cluster.classes) {
+        cls.minCount = 1;
+        cls.maxCount = 3;
+    }
+    serve::ServeResult result = serve::runServe(config);
+    ASSERT_EQ(result.stats.requests, config.numRequests);
+    EXPECT_GT(result.stats.lookaheadHolds, 0u);
+    EXPECT_GT(result.stats.affinityMigrations, 0u);
+    EXPECT_GT(result.stats.preemptions, 0u);
+    EXPECT_GT(result.stats.scaleUpEvents, 0u);
+    EXPECT_GT(result.stats.powerDeferredBatches, 0u);
+    // Cache traffic depends on what earlier runs in the process
+    // priced, not on this run's schedule.
+    result.stats.pricedCacheHits = 0;
+    result.stats.pricedCacheMisses = 0;
+    // Aggregates only: the per-request trace of 3000 requests would
+    // be a ~650 KB fixture.
+    compareOrUpdate("serve_feature_cluster.json",
+                    toJson(result, /*per_request=*/false));
 }
