@@ -112,11 +112,12 @@ row(const std::string &label, const std::vector<double> &values,
 }
 
 void
-header(const std::string &label, const std::vector<std::string> &columns)
+header(const std::string &label, const std::vector<std::string> &columns,
+       int width)
 {
     std::printf("%-22s", label.c_str());
     for (const auto &c : columns)
-        std::printf("%10s", c.c_str());
+        std::printf("%*s", width, c.c_str());
     std::printf("\n");
 }
 

@@ -62,9 +62,10 @@ void banner(const std::string &experiment, const std::string &what);
 void row(const std::string &label, const std::vector<double> &values,
          const char *fmt = "%10.2f");
 
-/** Column header row. */
+/** Column header row, each column @p width characters wide (match
+ *  the width of row()'s format). */
 void header(const std::string &label,
-            const std::vector<std::string> &columns);
+            const std::vector<std::string> &columns, int width = 10);
 
 } // namespace hygcn::bench
 

@@ -172,8 +172,10 @@ main(int argc, char **argv)
 
     std::printf("\nstream: heavy-tail, mean interarrival 30 kcycles, "
                 "4 instances, max batch 8, streaming sink\n");
+    // Columns are 14 wide: a 7-digit sim rps would overflow 10.
     header("case", {"req x1k", "wall s", "sim rps", "p99 kcyc",
-                    "util %", "rss MiB"});
+                    "util %", "rss MiB"},
+           14);
 
     std::vector<ScalePoint> series;
     int failures = 0;
@@ -191,7 +193,8 @@ main(int argc, char **argv)
             {static_cast<double>(point.requests) / 1e3,
              point.wallSeconds, point.simRps,
              point.stats.p99LatencyCycles / 1e3, util * 100.0,
-             peakRssMiB()});
+             peakRssMiB()},
+            "%14.3f");
         failures += checkStreamedStats(point);
         if (smoke && point.wallSeconds > kSmokeBudgetSeconds) {
             std::fprintf(stderr,

@@ -31,22 +31,22 @@ PricedScenarioCache::rejectUnresolvable(const std::string &platform,
 }
 
 std::shared_ptr<PricedScenarioCache::Entry>
-PricedScenarioCache::slot(const std::string &key)
+PricedScenarioCache::slot(const std::string &key, Tally *tally)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(key);
-    if (it == cache_.end()) {
+    const bool miss = it == cache_.end();
+    if (miss)
         it = cache_.emplace(key, std::make_shared<Entry>()).first;
-        ++misses_;
-    } else {
-        ++hits_;
-    }
+    ++(miss ? misses_ : hits_);
+    if (tally != nullptr)
+        ++(miss ? tally->misses : tally->hits);
     return it->second;
 }
 
 PricedScenarioCache::Priced
 PricedScenarioCache::price(const std::string &platform,
-                           const api::RunSpec &spec)
+                           const api::RunSpec &spec, Tally *tally)
 {
     // The spec JSON echoes every pricing-relevant field (platform,
     // dataset/model/seeds/scale, the full accelerator config, varied
@@ -58,7 +58,7 @@ PricedScenarioCache::price(const std::string &platform,
 
     rejectUnresolvable(platform, keyed);
 
-    std::shared_ptr<Entry> entry = slot(key);
+    std::shared_ptr<Entry> entry = slot(key, tally);
     std::call_once(entry->once, [&] {
         try {
             const api::RunResult run =
@@ -83,7 +83,7 @@ PricedScenarioCache::price(const std::string &platform,
 PricedScenarioCache::Priced
 PricedScenarioCache::priceCurve(const std::string &platform,
                                 const api::RunSpec &spec,
-                                const ServeConfig &config)
+                                const ServeConfig &config, Tally *tally)
 {
     api::RunSpec keyed = spec;
     keyed.platform = platform;
@@ -101,7 +101,7 @@ PricedScenarioCache::priceCurve(const std::string &platform,
         key += "#" + extra;
     key += "#max_batch=" + std::to_string(config.batching.maxBatch);
 
-    std::shared_ptr<Entry> entry = slot(key);
+    std::shared_ptr<Entry> entry = slot(key, tally);
     std::call_once(entry->once, [&] {
         try {
             // The unit run is a shared unit entry, so every cost
@@ -109,7 +109,7 @@ PricedScenarioCache::priceCurve(const std::string &platform,
             // it exactly once. Nested price() calls are safe: the
             // map mutex is never held while a slot fills, and unit
             // slots never price curves.
-            const Priced unit = price(platform, keyed);
+            const Priced unit = price(platform, keyed, tally);
             CostModelInputs in;
             in.unitCycles = unit.unitCycles();
             in.weightLoadCycles = unit.weightLoadCycles;
@@ -120,14 +120,14 @@ PricedScenarioCache::priceCurve(const std::string &platform,
             in.measuredCycles = [&](std::uint32_t copies) {
                 api::RunSpec batched = keyed;
                 batched.batchCopies = copies;
-                return price(platform, batched).unitCycles();
+                return price(platform, batched, tally).unitCycles();
             };
             // Shares the memoized co-batch unit entry with
             // measuredCycles: asking for both costs one run.
             in.measuredJoules = [&](std::uint32_t copies) {
                 api::RunSpec batched = keyed;
                 batched.batchCopies = copies;
-                return price(platform, batched).unitJoules();
+                return price(platform, batched, tally).unitJoules();
             };
             entry->value.cyclesByBatch = model->curve(in);
             entry->value.joulesByBatch = model->energyCurve(in);

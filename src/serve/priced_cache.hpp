@@ -70,6 +70,14 @@ class PricedScenarioCache
         { return joulesByBatch.empty() ? 0.0 : joulesByBatch.front(); }
     };
 
+    /** One caller's share of the hit/miss counters: every lookup
+     *  made on its behalf, nested unit lookups included. */
+    struct Tally
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+    };
+
     /**
      * Price one unit run of @p spec on registry platform
      * @p platform, running it on first touch and serving every later
@@ -77,9 +85,11 @@ class PricedScenarioCache
      * dataset, model, seeds, scale, accelerator config, varied
      * parameters, co-batch copies — so two serve configs differing
      * in any pricing-relevant knob never collide. Safe to call
-     * concurrently.
+     * concurrently. Each lookup also counts into @p tally, when
+     * given.
      */
-    Priced price(const std::string &platform, const api::RunSpec &spec);
+    Priced price(const std::string &platform, const api::RunSpec &spec,
+                 Tally *tally = nullptr);
 
     /**
      * Price the full cost curve of @p spec on @p platform under
@@ -89,11 +99,14 @@ class PricedScenarioCache
      * unit entries, so sweeping cost models or batch sizes re-runs
      * no platform work that any earlier pricing already did. The
      * "measured" model's per-batch-size co-batch runs memoize as
-     * unit entries with RunSpec::batchCopies = B.
+     * unit entries with RunSpec::batchCopies = B. Every lookup this
+     * call makes, nested unit lookups included, also counts into
+     * @p tally, when given.
      */
     Priced priceCurve(const std::string &platform,
                       const api::RunSpec &spec,
-                      const ServeConfig &config);
+                      const ServeConfig &config,
+                      Tally *tally = nullptr);
 
     /** Distinct priced entries (unit + curve) currently held. */
     std::size_t size() const;
@@ -133,8 +146,9 @@ class PricedScenarioCache
         std::exception_ptr error;
     };
 
-    /** Find-or-create the slot for @p key, counting hit/miss. */
-    std::shared_ptr<Entry> slot(const std::string &key);
+    /** Find-or-create the slot for @p key, counting hit/miss here
+     *  and into @p tally. */
+    std::shared_ptr<Entry> slot(const std::string &key, Tally *tally);
 
     /** Reject failures that depend on mutable registry state. */
     static void rejectUnresolvable(const std::string &platform,

@@ -9,6 +9,7 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -115,8 +116,7 @@ Scheduler::run() const
     EnergyCurves energy(classes.size());
     std::vector<std::vector<double>> clock(classes.size());
     PricedScenarioCache &cache = PricedScenarioCache::global();
-    const std::uint64_t cache_hits = cache.hits();
-    const std::uint64_t cache_misses = cache.misses();
+    PricedScenarioCache::Tally tally;
     for (std::size_t c = 0; c < classes.size(); ++c) {
         curves[c].reserve(config_.scenarios.size());
         energy[c].reserve(config_.scenarios.size());
@@ -125,7 +125,7 @@ Scheduler::run() const
             const PricedScenarioCache::Priced priced =
                 cache.priceCurve(classes[c].platform,
                                  classSpec(classes[c], scenario),
-                                 config_);
+                                 config_, &tally);
             curves[c].push_back(priced.cyclesByBatch);
             energy[c].push_back(priced.joulesByBatch);
             clock[c].push_back(priced.clockHz);
@@ -134,13 +134,11 @@ Scheduler::run() const
     ServeResult result =
         simulate(classes, normalizeClocks(std::move(curves), clock),
                  energy, clock[0].back());
-    // The pricing phase above is this run's cache traffic; snapshot
-    // deltas make affinity's locality benefit observable per run.
-    // Counters are process-global, so a concurrent sweep's pricing
-    // can bleed into the window — treat these as observability, not
-    // an exact ledger.
-    result.stats.pricedCacheHits = cache.hits() - cache_hits;
-    result.stats.pricedCacheMisses = cache.misses() - cache_misses;
+    // The pricing phase above is this run's cache traffic, tallied
+    // lookup by lookup, so the counts stay exact under a concurrent
+    // sweep and make affinity's locality benefit observable per run.
+    result.stats.pricedCacheHits = tally.hits;
+    result.stats.pricedCacheMisses = tally.misses;
     return result;
 }
 
@@ -254,14 +252,12 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     const std::size_t max_batch = config_.batching.maxBatch;
     const bool raw_cycles = objective->scoresServiceCycles();
 
-    // Routing-spec switches. With both off the dispatch scan below
-    // runs the legacy free-class-only code path untouched, so
-    // default-config schedules (and the checked-in goldens) stay
-    // byte-identical.
+    // Routing-spec switches. With both off every candidate waits 0
+    // cycles and no incumbent is retained, so the dispatch chain
+    // below ranks free classes only.
     const RoutingSpec &routing = config_.routing;
     const bool lookahead_on = routing.lookahead;
     const bool affinity_on = routing.affinityMargin > 0.0;
-    const bool routing_on = lookahead_on || affinity_on;
 
     // Objective scores depend only on (class, scenario, batch size),
     // so they price once into a flat table here and the hot loop
@@ -336,10 +332,9 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     });
 
     // ---- control plane ---------------------------------------------
-    // All of it compiles down to no-ops when control.enabled() is
-    // false: every branch below is gated, so the default path runs
-    // the exact legacy event sequence (and the checked-in goldens
-    // stay byte-identical).
+    // Scaling, the power cap and preemption each gate their own
+    // bookkeeping; with all three off no replica ever warms, drains,
+    // parks or is displaced, so instances just alternate Idle/Busy.
     const ControlPlaneSpec &control = config_.control;
     const bool control_on = control.enabled();
     const bool scaling_on =
@@ -371,9 +366,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
 
     // Per-class replica bounds. The instance arena is laid out at
     // each class's ceiling so autoscaling never reindexes anything;
-    // replicas beyond the initial count start Parked. With the
-    // control plane off every ceiling equals the configured count
-    // and the layout is exactly the legacy one.
+    // replicas beyond the initial count start Parked. Without
+    // autoscaling every ceiling equals the configured count.
     std::vector<std::uint32_t> min_rep(num_classes);
     std::vector<std::uint32_t> max_rep(num_classes);
     std::vector<std::uint32_t> init_rep(num_classes);
@@ -397,8 +391,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     std::vector<std::uint32_t> class_of(total_instances, 0);
     result.instances.resize(total_instances);
 
-    /** Replica lifecycle under the control plane. Without it every
-     *  instance just alternates Idle/Busy. */
+    /** Replica lifecycle. Without the control plane every instance
+     *  just alternates Idle/Busy. */
     enum class InstState : std::uint8_t {
         Idle,     ///< active, free to dispatch (on its class heap)
         Busy,     ///< active, serving a batch
@@ -408,11 +402,10 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     };
 
     // Per-class ready lists keyed (last-freed cycle, instance id):
-    // each class's top is the instance the legacy linear scan would
-    // have picked within the class (least-recently-freed, then
+    // each class's top is its least-recently-freed instance (then
     // lowest id), and instance ids are assigned in class blocks, so
-    // comparing class representatives in class order reproduces the
-    // legacy whole-cluster scan byte-for-byte. Busy instances sit in
+    // comparing class representatives in class order reproduces a
+    // whole-cluster least-recently-freed scan. Busy instances sit in
     // one completion min-heap, making both "any instance free?" and
     // "next completion event" O(log instances) instead of scans.
     //
@@ -421,8 +414,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     // is still Idle; a completion entry only while its key equals
     // expected_completion[id] (warm-ups ride the completion heap as
     // pseudo-completions validated against warm_ready[id]). Stale
-    // entries pop and drop. With the control plane off no entry is
-    // ever invalidated, so nothing is ever pruned.
+    // entries pop and drop. Only preemption and scaling ever
+    // invalidate an entry.
     using InstanceKey = std::pair<Cycle, std::uint32_t>;
     using InstanceMinHeap =
         std::priority_queue<InstanceKey, std::vector<InstanceKey>,
@@ -435,7 +428,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     // scoring a busy class's wait-until-free costs O(1) amortized —
     // no new scans in the hot loop. Entries invalidate lazily against
     // expected_completion / warm_ready exactly like the completion
-    // heap's.
+    // heap's. Without lookahead nothing reads them, and nothing
+    // would ever pop them, so the heaps stay empty.
     std::vector<InstanceMinHeap> horizon_by_class(
         lookahead_on ? num_classes : 0);
     std::size_t free_count = 0;
@@ -510,7 +504,7 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         double score = 0.0;
         InstanceKey rep{};
     };
-    std::vector<Candidate> cands(routing_on ? num_classes : 0);
+    std::vector<Candidate> cands(num_classes);
     std::uint64_t preempt_count = 0;
     Cycle preempted_cycles = 0;
     Cycle released_makespan = 0;
@@ -538,9 +532,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
 
     while (served < total_requests) {
         // Release completions due by now back onto their class's
-        // ready list. The freed key keeps the completion cycle —
-        // exactly the legacy free_at value least-recently-freed ties
-        // compare. Under the control plane each entry is validated
+        // ready list. The freed key keeps the completion cycle, which
+        // least-recently-freed ties compare. Each entry is validated
         // first (stale entries from preemptions and cancelled
         // warm-ups drop), warm-ups come online, and draining
         // replicas park instead of re-listing.
@@ -549,13 +542,6 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
             completions.pop();
             const std::uint32_t inst = done.second;
             const std::uint32_t cls = class_of[inst];
-            if (!control_on) {
-                if (lookahead_on)
-                    expected_completion[inst] = kNeverCycle;
-                free_by_class[cls].push(done);
-                ++free_count;
-                continue;
-            }
             if (state[inst] == InstState::Warming &&
                 done.first == warm_ready[inst]) {
                 state[inst] = InstState::Idle;
@@ -698,8 +684,7 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         // that the power cap (the only reason routing can refuse
         // while an instance is free) left it unplaced, and Held
         // reports that lookahead/affinity chose a busy class that
-        // frees soon. Identical to the legacy scan when the routing
-        // spec is default and the control plane is off.
+        // frees soon.
         enum class Placement : std::uint8_t {
             Dispatched,
             Blocked,
@@ -713,227 +698,125 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                 std::min(batch_size, max_batch) - 1;
 
             std::size_t best_class = num_classes;
-            Cycle best = 0;
-            double best_score = 0.0;
-            Cycle best_key = 0;
-            Cycle best_wait = 0;
-            InstanceKey best_rep{};
             bool cap_skipped = false;
             bool affinity_hit = false;
             bool affinity_migrated = false;
 
-            if (!routing_on) {
-                // Among classes with a free instance, the configured
-                // objective scores each candidate on the batch's
-                // priced service cycles and joules — one
-                // precomputed-table lookup, never an objective call;
-                // ties break on service cycles, then the class
-                // representative's (last-freed, id) key — under the
-                // default "cycles" objective exactly the legacy
-                // order.
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    InstanceMinHeap &heap = free_by_class[c];
-                    if (control_on)
-                        while (!heap.empty() &&
-                               (state[heap.top().second] !=
-                                    InstState::Idle ||
-                                heap.top().first !=
-                                    last_freed[heap.top().second]))
-                            heap.pop();
-                    if (heap.empty())
-                        continue;
-                    const InstanceKey rep = heap.top();
-                    const Cycle cost =
-                        curveAt(curves[c][scenario], batch_size);
+            // Free classes are candidates at wait 0, scored from the
+            // static table. Under lookahead busy classes are too, at
+            // their heap-top busy-until horizon, scored per dispatch
+            // since the wait term is dynamic. The power cap filters
+            // only wait-0 candidates: holding for a busy class defers
+            // the draw to a completion that frees budget anyway.
+            for (std::size_t c = 0; c < num_classes; ++c) {
+                Candidate &cand = cands[c];
+                cand.eligible = false;
+                InstanceMinHeap &heap = free_by_class[c];
+                while (!heap.empty() &&
+                       (state[heap.top().second] != InstState::Idle ||
+                        heap.top().first != last_freed[heap.top().second]))
+                    heap.pop();
+                const Cycle cost = curveAt(curves[c][scenario], batch_size);
+                if (!heap.empty()) {
                     if (cap_on) {
                         const double watts =
-                            energyCurveAt(energy[c][scenario],
-                                          batch_size) *
+                            energyCurveAt(energy[c][scenario], batch_size) *
                             clock_hz / static_cast<double>(cost);
                         if (current_watts + watts > cap_watts) {
                             cap_skipped = true;
                             continue;
                         }
                     }
-                    const double cost_score =
-                        raw_cycles ? 0.0
-                                   : scores[c][scenario][score_idx];
-                    if (best_class == num_classes) {
-                        best_class = c;
-                        best = cost;
-                        best_score = cost_score;
-                        best_rep = rep;
-                        continue;
-                    }
-                    const int order =
-                        raw_cycles
-                            ? 0
-                            : compareScores(cost_score, best_score);
-                    if (order < 0 ||
-                        (order == 0 &&
-                         (cost < best ||
-                          (cost == best && rep < best_rep)))) {
-                        best_class = c;
-                        best = cost;
-                        best_score = cost_score;
-                        best_rep = rep;
-                    }
-                }
-            } else {
-                // Horizon-aware scan: every class is a candidate —
-                // free ones at wait 0 (scored from the static table,
-                // the wait-free case of the split), busy ones at
-                // their heap-top busy-until horizon (scored per
-                // dispatch, since the wait term is dynamic). The
-                // power cap filters only wait-0 candidates: holding
-                // for a busy class defers the draw to a completion
-                // that frees budget anyway.
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    Candidate &cand = cands[c];
-                    cand.eligible = false;
-                    InstanceMinHeap &heap = free_by_class[c];
-                    if (control_on)
-                        while (!heap.empty() &&
-                               (state[heap.top().second] !=
-                                    InstState::Idle ||
-                                heap.top().first !=
-                                    last_freed[heap.top().second]))
-                            heap.pop();
-                    const Cycle cost =
-                        curveAt(curves[c][scenario], batch_size);
-                    if (!heap.empty()) {
-                        if (cap_on) {
-                            const double watts =
-                                energyCurveAt(energy[c][scenario],
-                                              batch_size) *
-                                clock_hz / static_cast<double>(cost);
-                            if (current_watts + watts > cap_watts) {
-                                cap_skipped = true;
-                                continue;
-                            }
-                        }
-                        cand.eligible = true;
-                        cand.wait = 0;
-                        cand.cost = cost;
-                        cand.completionKey = cost;
-                        cand.rep = heap.top();
-                        cand.score =
-                            raw_cycles
-                                ? 0.0
-                                : scores[c][scenario][score_idx];
-                        continue;
-                    }
-                    if (!lookahead_on)
-                        continue;
-                    InstanceMinHeap &busy = horizon_by_class[c];
-                    while (!busy.empty()) {
-                        const InstanceKey top = busy.top();
-                        const std::uint32_t inst = top.second;
-                        const bool live =
-                            control_on
-                                ? ((state[inst] == InstState::Busy &&
-                                    top.first ==
-                                        expected_completion[inst]) ||
-                                   (state[inst] ==
-                                        InstState::Warming &&
-                                    top.first == warm_ready[inst]))
-                                : top.first ==
-                                      expected_completion[inst];
-                        if (live)
-                            break;
-                        busy.pop();
-                    }
-                    if (busy.empty())
-                        continue;
-                    // Completions due by now were already released,
-                    // so a live horizon is strictly in the future.
-                    const Cycle wait = busy.top().first - now;
                     cand.eligible = true;
-                    cand.wait = wait;
+                    cand.wait = 0;
                     cand.cost = cost;
-                    cand.completionKey = satAddCycles(wait, cost);
-                    cand.rep = busy.top();
-                    if (raw_cycles) {
-                        cand.score = 0.0;
-                    } else {
-                        RouteCandidate rc;
-                        rc.classIndex = c;
-                        rc.waitCycles = wait;
-                        rc.serviceCycles = cost;
-                        rc.joules = energyCurveAt(
-                            energy[c][scenario], batch_size);
-                        rc.batchSize = batch_size;
-                        cand.score = objective->score(rc, clock_hz);
-                    }
+                    cand.completionKey = cost;
+                    cand.rep = heap.top();
+                    cand.score =
+                        raw_cycles ? 0.0 : scores[c][scenario][score_idx];
+                    continue;
                 }
-                // Deterministic chain: score (raw integer completion
-                // horizon under "cycles"), then service cycles, then
-                // wait (a free class beats a busy tie), then the
-                // representative key. With lookahead off every wait
-                // is 0 and this is exactly the legacy chain.
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    const Candidate &cand = cands[c];
-                    if (!cand.eligible)
-                        continue;
-                    if (best_class == num_classes) {
-                        best_class = c;
-                        best = cand.cost;
-                        best_score = cand.score;
-                        best_key = cand.completionKey;
-                        best_wait = cand.wait;
-                        best_rep = cand.rep;
-                        continue;
-                    }
+                if (!lookahead_on)
+                    continue;
+                InstanceMinHeap &busy = horizon_by_class[c];
+                while (!busy.empty()) {
+                    const auto [cycle, inst] = busy.top();
+                    if ((state[inst] == InstState::Busy &&
+                         cycle == expected_completion[inst]) ||
+                        (state[inst] == InstState::Warming &&
+                         cycle == warm_ready[inst]))
+                        break;
+                    busy.pop();
+                }
+                if (busy.empty())
+                    continue;
+                // Completions due by now were already released, so a
+                // live horizon is strictly in the future.
+                const Cycle wait = busy.top().first - now;
+                cand.eligible = true;
+                cand.wait = wait;
+                cand.cost = cost;
+                cand.completionKey = satAddCycles(wait, cost);
+                cand.rep = busy.top();
+                if (raw_cycles) {
+                    cand.score = 0.0;
+                } else {
+                    RouteCandidate rc;
+                    rc.classIndex = c;
+                    rc.waitCycles = wait;
+                    rc.serviceCycles = cost;
+                    rc.joules = energyCurveAt(energy[c][scenario], batch_size);
+                    rc.batchSize = batch_size;
+                    cand.score = objective->score(rc, clock_hz);
+                }
+            }
+            // Deterministic chain: score (raw integer completion
+            // horizon under "cycles"), then service cycles, then wait
+            // (a free class beats a busy tie), then the representative
+            // (last-freed, id) key. Class-blocked instance ids make
+            // that last compare reproduce a whole-cluster
+            // least-recently-freed scan.
+            for (std::size_t c = 0; c < num_classes; ++c) {
+                const Candidate &cand = cands[c];
+                if (!cand.eligible)
+                    continue;
+                if (best_class != num_classes) {
+                    const Candidate &best = cands[best_class];
                     const int order =
                         raw_cycles
-                            ? (cand.completionKey < best_key   ? -1
-                               : cand.completionKey > best_key ? 1
-                                                               : 0)
-                            : compareScores(cand.score, best_score);
-                    if (order < 0 ||
+                            ? (cand.completionKey < best.completionKey   ? -1
+                               : cand.completionKey > best.completionKey ? 1
+                                                                         : 0)
+                            : compareScores(cand.score, best.score);
+                    if (order > 0 ||
                         (order == 0 &&
-                         (cand.cost < best ||
-                          (cand.cost == best &&
-                           (cand.wait < best_wait ||
-                            (cand.wait == best_wait &&
-                             cand.rep < best_rep)))))) {
-                        best_class = c;
-                        best = cand.cost;
-                        best_score = cand.score;
-                        best_key = cand.completionKey;
-                        best_wait = cand.wait;
-                        best_rep = cand.rep;
-                    }
+                         std::tie(cand.cost, cand.wait, cand.rep) >=
+                             std::tie(best.cost, best.wait, best.rep)))
+                        continue;
                 }
-                // Affinity retention: stay on the scenario's
-                // last-served class unless the winner's score beats
-                // it by more than the configured relative margin.
-                // Without lookahead a busy incumbent is not a
-                // candidate, so retention only arbitrates among free
-                // classes.
-                if (affinity_on && best_class != num_classes) {
-                    const std::size_t last = last_class[scenario];
-                    if (last < num_classes && last != best_class &&
-                        cands[last].eligible) {
-                        const double keep =
-                            1.0 - routing.affinityMargin;
-                        const double best_metric =
-                            raw_cycles
-                                ? static_cast<double>(best_key)
-                                : best_score;
-                        const double last_metric =
-                            raw_cycles ? static_cast<double>(
-                                             cands[last].completionKey)
-                                       : cands[last].score;
-                        if (best_metric < last_metric * keep) {
-                            affinity_migrated = true;
-                        } else {
-                            affinity_hit = true;
-                            best_class = last;
-                            best = cands[last].cost;
-                            best_wait = cands[last].wait;
-                            best_rep = cands[last].rep;
-                        }
+                best_class = c;
+            }
+            // Affinity retention: stay on the scenario's last-served
+            // class unless the winner's score beats it by more than the
+            // configured relative margin. Without lookahead a busy
+            // incumbent is not a candidate, so retention only
+            // arbitrates among free classes.
+            if (affinity_on && best_class != num_classes) {
+                const std::size_t last = last_class[scenario];
+                if (last < num_classes && last != best_class &&
+                    cands[last].eligible) {
+                    auto metric = [raw_cycles](const Candidate &cand) {
+                        return raw_cycles
+                                   ? static_cast<double>(cand.completionKey)
+                                   : cand.score;
+                    };
+                    const double keep = 1.0 - routing.affinityMargin;
+                    if (metric(cands[best_class]) <
+                        metric(cands[last]) * keep) {
+                        affinity_migrated = true;
+                    } else {
+                        affinity_hit = true;
+                        best_class = last;
                     }
                 }
             }
@@ -956,22 +839,24 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                     if (best_class == num_classes ||
                         watts < min_watts) {
                         best_class = c;
-                        best = cost;
-                        best_rep = free_by_class[c].top();
                         min_watts = watts;
+                        cands[c].wait = 0;
+                        cands[c].cost = cost;
+                        cands[c].rep = free_by_class[c].top();
                     }
                 }
             }
             if (best_class == num_classes)
                 return Placement::Blocked;
-            if (best_wait > 0)
+            const Candidate &win = cands[best_class];
+            if (win.wait > 0)
                 return Placement::Held;
 
-            const std::uint32_t inst = best_rep.second;
+            const std::uint32_t inst = win.rep.second;
             free_by_class[best_class].pop();
             --free_count;
 
-            const Cycle service = best;
+            const Cycle service = win.cost;
             policy->onDispatch(members, service);
             const Cycle completion = now + service;
             const double joules = energyCurveAt(
@@ -1018,36 +903,33 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                 result.batches.push_back(std::move(batch));
             }
 
-            if (control_on) {
-                state[inst] = InstState::Busy;
-                --free_in_class[best_class];
-                expected_completion[inst] = completion;
-                if (cap_on) {
-                    const double watts =
-                        joules * clock_hz /
-                        static_cast<double>(service);
-                    busy_watts[inst] = watts;
-                    current_watts += watts;
-                    peak_watts =
-                        std::max(peak_watts, current_watts);
-                }
+            state[inst] = InstState::Busy;
+            --free_in_class[best_class];
+            expected_completion[inst] = completion;
+            if (cap_on) {
+                const double watts =
+                    joules * clock_hz / static_cast<double>(service);
+                busy_watts[inst] = watts;
+                current_watts += watts;
+                peak_watts = std::max(peak_watts, current_watts);
+            }
+            if (scaling_on) {
                 window_dispatched += batch_size;
-                Cycle min_deadline = kNeverCycle;
-                for (const ServeRequest &member : members) {
-                    min_deadline =
-                        std::min(min_deadline, member.deadline);
+                for (const ServeRequest &member : members)
                     if (member.deadline != kNeverCycle &&
                         completion > member.deadline)
                         ++window_missed;
-                }
-                if (preempt_on) {
-                    run_members[inst] = members;
-                    run_dispatch[inst] = now;
-                    run_service[inst] = service;
-                    run_joules[inst] = joules;
-                    run_batch[inst] = batch_id;
-                    run_min_deadline[inst] = min_deadline;
-                }
+            }
+            if (preempt_on) {
+                run_members[inst] = members;
+                run_dispatch[inst] = now;
+                run_service[inst] = service;
+                run_joules[inst] = joules;
+                run_batch[inst] = batch_id;
+                run_min_deadline[inst] = kNeverCycle;
+                for (const ServeRequest &member : members)
+                    run_min_deadline[inst] =
+                        std::min(run_min_deadline[inst], member.deadline);
             }
 
             InstanceRecord &instance = result.instances[inst];
@@ -1055,11 +937,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
             instance.requests += batch_size;
             instance.busyCycles += service;
             completions.push({completion, inst});
-            if (lookahead_on) {
+            if (lookahead_on)
                 horizon_by_class[best_class].push({completion, inst});
-                if (!control_on)
-                    expected_completion[inst] = completion;
-            }
             if (affinity_on) {
                 if (affinity_hit)
                     ++affinity_hits;
@@ -1067,8 +946,6 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                     ++affinity_migrations;
                 last_class[scenario] = best_class;
             }
-            if (!control_on)
-                result.makespan = std::max(result.makespan, completion);
             served += batch_size;
             return Placement::Dispatched;
         };
@@ -1222,23 +1099,16 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         now = next;
     }
 
-    if (control_on) {
-        // Work completions still in flight at exit count toward the
-        // makespan; warm-up pseudo-completions and stale entries from
-        // preemptions do not.
-        result.makespan = released_makespan;
-        while (!completions.empty()) {
-            const InstanceKey done = completions.top();
-            completions.pop();
-            const std::uint32_t inst = done.second;
-            if ((state[inst] == InstState::Busy ||
-                 state[inst] == InstState::Draining) &&
-                done.first == expected_completion[inst]) {
-                expected_completion[inst] = kNeverCycle;
-                result.makespan =
-                    std::max(result.makespan, done.first);
-            }
-        }
+    // Work completions still in flight at exit count toward the
+    // makespan; warm-up pseudo-completions and stale entries from
+    // preemptions do not.
+    result.makespan = released_makespan;
+    for (; !completions.empty(); completions.pop()) {
+        const auto [cycle, inst] = completions.top();
+        if ((state[inst] == InstState::Busy ||
+             state[inst] == InstState::Draining) &&
+            cycle == expected_completion[inst])
+            result.makespan = std::max(result.makespan, cycle);
     }
 
     for (InstanceRecord &instance : result.instances)
@@ -1261,25 +1131,23 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         result.stats = computeServeStats(
             result.requests, result.batches, result.instances,
             result.makespan, result.clockHz, tenants, class_labels);
-    result.stats.deadlineCapsAvoided = policy->deadlineCapsAvoided();
-    if (routing_on) {
-        result.stats.lookaheadHolds = lookahead_holds;
-        result.stats.affinityHits = affinity_hits;
-        result.stats.affinityMigrations = affinity_migrations;
-    }
-    if (control_on) {
-        result.stats.powerDeferredBatches = power_deferred;
-        result.stats.peakClusterWatts = peak_watts;
-        if (result.makespan > 0)
-            result.stats.meanClusterWatts =
-                result.stats.totalJoules * clock_hz /
-                static_cast<double>(result.makespan);
-        result.stats.preemptions = preempt_count;
-        result.stats.preemptedCycles = preempted_cycles;
-        result.stats.scaleUpEvents = scale_ups;
-        result.stats.scaleDownEvents = scale_downs;
-        result.stats.replicaTimelines = std::move(timelines);
-    }
+    ServeStats &stats = result.stats;
+    stats.deadlineCapsAvoided = policy->deadlineCapsAvoided();
+    stats.lookaheadHolds = lookahead_holds;
+    stats.affinityHits = affinity_hits;
+    stats.affinityMigrations = affinity_migrations;
+    stats.powerDeferredBatches = power_deferred;
+    stats.peakClusterWatts = peak_watts;
+    // Like the rest of the control-plane accounting, reported only
+    // while the plane is on.
+    if (control_on && result.makespan > 0)
+        stats.meanClusterWatts = stats.totalJoules * clock_hz /
+                                 static_cast<double>(result.makespan);
+    stats.preemptions = preempt_count;
+    stats.preemptedCycles = preempted_cycles;
+    stats.scaleUpEvents = scale_ups;
+    stats.scaleDownEvents = scale_downs;
+    stats.replicaTimelines = std::move(timelines);
     return result;
 }
 

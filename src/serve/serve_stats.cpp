@@ -1,8 +1,8 @@
 #include "serve/serve_stats.hpp"
 
-#include <algorithm>
+#include <limits>
 
-#include "sim/stats.hpp"
+#include "serve/stats_sink.hpp"
 
 namespace hygcn::serve {
 
@@ -14,126 +14,35 @@ computeServeStats(const std::vector<RequestRecord> &requests,
                   const std::vector<TenantMix> &tenants,
                   const std::vector<std::string> &class_labels)
 {
-    ServeStats stats;
-    stats.requests = requests.size();
-    stats.batches = batches.size();
-    stats.makespanCycles = makespan;
-    if (!batches.empty())
-        stats.meanBatchSize = static_cast<double>(requests.size()) /
-                              static_cast<double>(batches.size());
+    // A replay through the streaming sink: batches in id order, then
+    // requests in id order. Reservoirs as large as the stream keep
+    // every percentile exact.
+    StreamingStatsSink sink(tenants.size(), class_labels.size(),
+                            requests.size(), 0, 0, nullptr);
+    for (const BatchRecord &batch : batches)
+        sink.addBatch(batch.joules,
+                      batch.instance < instances.size()
+                          ? instances[batch.instance].classIndex
+                          : std::numeric_limits<std::uint32_t>::max());
 
-    const double makespan_secs =
-        clock_hz > 0.0 ? static_cast<double>(makespan) / clock_hz : 0.0;
-    if (makespan_secs > 0.0)
-        stats.throughputRps =
-            static_cast<double>(requests.size()) / makespan_secs;
-
-    std::vector<double> latencies;
-    latencies.reserve(requests.size());
-    double wait_sum = 0.0, latency_sum = 0.0;
-    for (const RequestRecord &r : requests) {
-        const double latency = static_cast<double>(r.latency());
-        latencies.push_back(latency);
-        latency_sum += latency;
-        wait_sum += static_cast<double>(r.queueWait());
-        stats.maxLatencyCycles = std::max(stats.maxLatencyCycles, latency);
-    }
-    if (!requests.empty()) {
-        const double n = static_cast<double>(requests.size());
-        stats.meanQueueWaitCycles = wait_sum / n;
-        stats.meanLatencyCycles = latency_sum / n;
-    }
-    std::sort(latencies.begin(), latencies.end());
-    stats.p50LatencyCycles = percentileSorted(latencies, 50.0);
-    stats.p95LatencyCycles = percentileSorted(latencies, 95.0);
-    stats.p99LatencyCycles = percentileSorted(latencies, 99.0);
-
-    stats.instanceUtilization.reserve(instances.size());
-    for (const InstanceRecord &inst : instances)
-        stats.instanceUtilization.push_back(inst.utilization);
-
-    // ---- per-tenant breakdown --------------------------------------
     // Service consumption charges each batch's cycles evenly across
-    // its members, so the shares are policy-agnostic and sum to 1.
-    std::vector<double> batch_member_cost(batches.size(), 0.0);
-    std::vector<double> batch_member_joules(batches.size(), 0.0);
-    for (const BatchRecord &batch : batches) {
-        stats.totalJoules += batch.joules;
-        if (!batch.requestIds.empty()) {
-            batch_member_cost[batch.id] =
-                static_cast<double>(batch.serviceCycles()) /
-                static_cast<double>(batch.requestIds.size());
-            batch_member_joules[batch.id] =
-                batch.joules /
-                static_cast<double>(batch.requestIds.size());
-        }
-    }
-    if (!requests.empty())
-        stats.meanJoulesPerRequest =
-            stats.totalJoules / static_cast<double>(requests.size());
-
-    stats.tenantStats.resize(tenants.size());
-    std::vector<std::vector<double>> tenant_latencies(tenants.size());
-    std::vector<double> tenant_cycles(tenants.size(), 0.0);
-    double total_cycles = 0.0;
-    for (std::size_t t = 0; t < tenants.size(); ++t)
-        stats.tenantStats[t].name = tenants[t].name;
+    // its members, so the tenant shares are policy-agnostic and sum
+    // to 1.
     for (const RequestRecord &r : requests) {
-        if (r.tenant >= tenants.size())
-            continue;
-        TenantStats &ts = stats.tenantStats[r.tenant];
-        ++ts.requests;
-        const double latency = static_cast<double>(r.latency());
-        ts.meanLatencyCycles += latency;
-        tenant_latencies[r.tenant].push_back(latency);
-        if (r.missedDeadline())
-            ++ts.sloViolations;
-        const double cost = r.batch < batch_member_cost.size()
-                                ? batch_member_cost[r.batch]
-                                : 0.0;
-        tenant_cycles[r.tenant] += cost;
-        total_cycles += cost;
-        if (r.batch < batch_member_joules.size())
-            ts.joules += batch_member_joules[r.batch];
+        double cycles = 0.0, joules = 0.0;
+        if (r.batch < batches.size() &&
+            !batches[r.batch].requestIds.empty()) {
+            const BatchRecord &batch = batches[r.batch];
+            const double size =
+                static_cast<double>(batch.requestIds.size());
+            cycles = static_cast<double>(batch.serviceCycles()) / size;
+            joules = batch.joules / size;
+        }
+        sink.addRequest(r.tenant, r.latency(), r.queueWait(),
+                        r.missedDeadline(), cycles, joules);
     }
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-        TenantStats &ts = stats.tenantStats[t];
-        if (ts.requests > 0)
-            ts.meanLatencyCycles /= static_cast<double>(ts.requests);
-        std::sort(tenant_latencies[t].begin(), tenant_latencies[t].end());
-        ts.p99LatencyCycles = percentileSorted(tenant_latencies[t], 99.0);
-        if (total_cycles > 0.0)
-            ts.servedShare = tenant_cycles[t] / total_cycles;
-    }
-
-    // ---- per-class breakdown ---------------------------------------
-    stats.classStats.resize(class_labels.size());
-    for (std::size_t c = 0; c < class_labels.size(); ++c)
-        stats.classStats[c].label = class_labels[c];
-    for (const InstanceRecord &inst : instances) {
-        if (inst.classIndex >= stats.classStats.size())
-            continue;
-        ClassStats &cs = stats.classStats[inst.classIndex];
-        ++cs.instances;
-        cs.batches += inst.batches;
-        cs.requests += inst.requests;
-        cs.busyCycles += inst.busyCycles;
-    }
-    for (const BatchRecord &batch : batches) {
-        if (batch.instance >= instances.size())
-            continue;
-        const std::uint32_t cls = instances[batch.instance].classIndex;
-        if (cls < stats.classStats.size())
-            stats.classStats[cls].joules += batch.joules;
-    }
-    for (ClassStats &cs : stats.classStats)
-        if (cs.instances > 0 && makespan > 0)
-            cs.utilization =
-                static_cast<double>(cs.busyCycles) /
-                (static_cast<double>(cs.instances) *
-                 static_cast<double>(makespan));
-
-    return stats;
+    return sink.finish(instances, makespan, clock_hz, tenants,
+                       class_labels);
 }
 
 } // namespace hygcn::serve

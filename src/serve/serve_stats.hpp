@@ -196,8 +196,8 @@ struct ServeStats
     std::uint64_t affinityMigrations = 0;
 
     /** PricedScenarioCache lookups this run served from cache /
-     *  priced fresh (snapshot deltas around the run's pricing
-     *  phase; 0/0 for runs that price outside the cache). */
+     *  priced fresh, counted per lookup so concurrent runs never
+     *  share a count (0/0 for runs that price outside the cache). */
     std::uint64_t pricedCacheHits = 0;
     std::uint64_t pricedCacheMisses = 0;
 

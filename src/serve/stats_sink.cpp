@@ -76,47 +76,58 @@ StreamingStatsSink::StreamingStatsSink(std::size_t num_tenants,
 }
 
 void
-StreamingStatsSink::onBatch(Cycle dispatch, Cycle completion,
-                            double joules, std::uint32_t class_index,
-                            const std::vector<ServeRequest> &members)
+StreamingStatsSink::addBatch(double joules, std::uint32_t class_index)
 {
     ++batches_;
     totalJoules_ += joules;
     if (class_index < classJoules_.size())
         classJoules_[class_index] += joules;
+}
+
+void
+StreamingStatsSink::addRequest(std::uint32_t tenant, Cycle latency,
+                               Cycle queue_wait, bool missed_deadline,
+                               double cycles, double joules)
+{
+    ++requests_;
+    const double lat = static_cast<double>(latency);
+    latencySum_ += lat;
+    waitSum_ += static_cast<double>(queue_wait);
+    maxLatency_ = std::max(maxLatency_, lat);
+    latencies_.add(lat);
+    if (tenant >= tenants_.size())
+        return;
+    TenantAccum &acc = tenants_[tenant];
+    ++acc.requests;
+    acc.latencySum += lat;
+    acc.latencies.add(lat);
+    if (missed_deadline)
+        ++acc.sloViolations;
+    acc.cycles += cycles;
+    totalCycles_ += cycles;
+    acc.joules += joules;
+}
+
+void
+StreamingStatsSink::onBatch(Cycle dispatch, Cycle completion,
+                            double joules, std::uint32_t class_index,
+                            const std::vector<ServeRequest> &members)
+{
+    addBatch(joules, class_index);
     if (members.empty())
         return;
 
-    // Identical member charges to computeServeStats(): each batch's
-    // cycles and joules split evenly across its members.
+    // Each batch's cycles and joules split evenly across its members.
     const double size = static_cast<double>(members.size());
     const double member_cycles =
         static_cast<double>(completion - dispatch) / size;
     const double member_joules = joules / size;
-
-    for (const ServeRequest &member : members) {
-        ++requests_;
-        const double latency =
-            static_cast<double>(completion - member.arrival);
-        const double wait =
-            static_cast<double>(dispatch - member.arrival);
-        latencySum_ += latency;
-        waitSum_ += wait;
-        maxLatency_ = std::max(maxLatency_, latency);
-        latencies_.add(latency);
-        if (member.tenant < tenants_.size()) {
-            TenantAccum &tenant = tenants_[member.tenant];
-            ++tenant.requests;
-            tenant.latencySum += latency;
-            tenant.latencies.add(latency);
-            if (member.deadline != kNeverCycle &&
-                completion > member.deadline)
-                ++tenant.sloViolations;
-            tenant.cycles += member_cycles;
-            totalCycles_ += member_cycles;
-            tenant.joules += member_joules;
-        }
-    }
+    for (const ServeRequest &member : members)
+        addRequest(member.tenant, completion - member.arrival,
+                   dispatch - member.arrival,
+                   member.deadline != kNeverCycle &&
+                       completion > member.deadline,
+                   member_cycles, member_joules);
 
     if (flushEvery_ > 0 && flushTo_ != nullptr &&
         requests_ >= nextFlush_) {

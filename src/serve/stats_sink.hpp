@@ -1,12 +1,12 @@
 /**
  * @file
- * Streaming aggregation of ServeStats: running accumulators plus
- * deterministic reservoir percentiles, fed one dispatched batch at a
- * time, so million-request runs never materialize a RequestRecord
- * per request. The sink mirrors computeServeStats() exactly — same
- * formulas, same percentile convention (sim/stats) — differing only
- * in accumulation order (dispatch order instead of request-id
- * order), so a streamed run's stats match a materialized run's to
+ * The one ServeStats accumulator: running sums plus deterministic
+ * reservoir percentiles, fed one dispatched batch at a time, so
+ * million-request runs never materialize a RequestRecord per
+ * request. computeServeStats() replays materialized records through
+ * the same sink, so the two modes share every formula and differ
+ * only in accumulation order (dispatch order instead of request-id
+ * order): a streamed run's stats match a materialized run's to
  * floating-point accumulation noise, and percentiles match exactly
  * while the sample count fits the reservoir. An optional periodic
  * flush prints one running-stats line every N served requests, in
@@ -63,10 +63,11 @@ class LatencyReservoir
 };
 
 /**
- * Streaming twin of computeServeStats(): onBatch() folds each
- * dispatched batch into running sums (mean/max latency, queue wait,
- * per-tenant SLO and served-share accounting, per-class joules) and
- * latency reservoirs; finish() assembles the ServeStats. Instance
+ * Running ServeStats aggregates: addBatch() folds each batch's
+ * energy (total and per class), addRequest() each served request
+ * (mean/max latency, queue wait, per-tenant SLO and served-share
+ * accounting) and latency reservoirs; onBatch() does both for one
+ * dispatched batch; finish() assembles the ServeStats. Instance
  * records stay materialized in the scheduler — instances are few —
  * and feed the utilization and per-class rollups at finish().
  */
@@ -87,10 +88,25 @@ class StreamingStatsSink
                        std::ostream *flush_to);
 
     /** Fold one dispatched batch (its members, timing, routed class,
-     *  and priced energy) into the running aggregates. */
+     *  and priced energy) into the running aggregates: addBatch(),
+     *  then addRequest() per member charged an even share of the
+     *  batch's cycles and joules. */
     void onBatch(Cycle dispatch, Cycle completion, double joules,
                  std::uint32_t class_index,
                  const std::vector<ServeRequest> &members);
+
+    /** Fold one batch's priced @p joules into the total and into
+     *  class @p class_index (ignored when out of range). */
+    void addBatch(double joules, std::uint32_t class_index);
+
+    /**
+     * Fold one served request: its end-to-end @p latency and
+     * @p queue_wait, whether it @p missed_deadline, and its share of
+     * its batch's service @p cycles and @p joules, charged to tenant
+     * @p tenant (per-tenant sums skip an out-of-range tenant).
+     */
+    void addRequest(std::uint32_t tenant, Cycle latency, Cycle queue_wait,
+                    bool missed_deadline, double cycles, double joules);
 
     /** Requests folded so far. */
     std::uint64_t requests() const { return requests_; }

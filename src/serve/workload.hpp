@@ -365,8 +365,8 @@ struct ControlPlaneSpec
     std::uint32_t minInstances = 0;
     std::uint32_t maxInstances = 0;
 
-    /** Any control path active? False for the defaults, and the
-     *  scheduler then runs the byte-identical legacy event loop. */
+    /** Any control path active? False for the defaults, which
+     *  leave every replica active and the JSON control-key free. */
     bool enabled() const
     {
         return scalingPolicy != "static" || powerCapWatts > 0.0 ||

@@ -3,31 +3,36 @@
  * classes scored at their wait-until-free horizon dominate greedy
  * energy routing on joules AND p99 on the current-gen/legacy
  * cluster, hold/dispatch decisions on hand-written traces match the
- * wait-horizon oracle exactly, the delay-damped energy score
+ * wait-horizon oracle exactly, a held fifo batch re-admits behind
+ * younger same-scenario arrivals, the delay-damped energy score
  * migrates once the wait outweighs the joules gap, the affinity
  * margin separates retention from migration at the predicted
  * boundary (and raises scenario->class locality on a ping-pong-prone
- * mix), lookahead-off runs stay byte-identical to the legacy
- * scheduler, the grouped ServeSession::routing() setter matches its
+ * mix), lookahead-off runs stay byte-identical to greedy routing,
+ * the grouped ServeSession::routing() setter matches its
  * granular delegates, PricedScenarioCache hit/miss counters surface
- * per run, the "scheduled" ScalingPolicy follows its timetable, and
+ * per run as an exact ledger even under a concurrent sweep, the
+ * "scheduled" ScalingPolicy follows its timetable, and
  * the ServeSweep lookahead/affinity axes expand the cartesian grid.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/serve_session.hpp"
 #include "api/serve_sweep.hpp"
+#include "serve/priced_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/json.hpp"
 #include "workload/trace.hpp"
@@ -45,8 +50,10 @@ namespace {
 class StubPlatform : public api::Platform
 {
   public:
-    StubPlatform(std::string name, Cycle cycles, double joules)
-        : name_(std::move(name)), cycles_(cycles), joules_(joules)
+    StubPlatform(std::string name, Cycle cycles, double joules,
+                 std::chrono::milliseconds delay = {})
+        : name_(std::move(name)), cycles_(cycles), joules_(joules),
+          delay_(delay)
     {
     }
 
@@ -54,6 +61,7 @@ class StubPlatform : public api::Platform
 
     api::RunResult run(const api::RunSpec &spec) const override
     {
+        std::this_thread::sleep_for(delay_);
         api::RunResult out;
         out.spec = spec;
         out.report.platform = name_;
@@ -69,16 +77,21 @@ class StubPlatform : public api::Platform
     std::string name_;
     Cycle cycles_;
     double joules_;
+    std::chrono::milliseconds delay_;
 };
 
+/** Register a stub whose every pricing run takes @p delay of wall
+ *  time (none by default). */
 void
-registerStub(const std::string &name, Cycle cycles, double joules)
+registerStub(const std::string &name, Cycle cycles, double joules,
+             std::chrono::milliseconds delay = {})
 {
     api::Registry &registry = api::Registry::global();
     if (registry.hasPlatform(name))
         return;
-    registry.registerPlatform(name, [name, cycles, joules] {
-        return std::make_unique<StubPlatform>(name, cycles, joules);
+    registry.registerPlatform(name, [name, cycles, joules, delay] {
+        return std::make_unique<StubPlatform>(name, cycles, joules,
+                                              delay);
     });
 }
 
@@ -204,6 +217,36 @@ TEST(LookaheadRouting, WaitHorizonMatchesOracleOnDeterministicTrace)
     EXPECT_EQ(b3.instance, b1.instance);
     EXPECT_EQ(b4.dispatch, b2.completion);
     EXPECT_EQ(b4.instance, b2.instance);
+}
+
+TEST(LookaheadRouting, HeldFifoBatchReadmitsBehindYoungerArrivals)
+{
+    registerStub("la-x", 1000000, 1.0);
+    registerStub("la-y", 1000000, 10.0);
+
+    // The oracle trace again, read for request order. A held batch
+    // re-enters the fifo queue at its back, so it queues behind
+    // same-scenario requests that arrived after it: request 2 is
+    // held at cycle 2 and again at cycle 3, which leaves it behind
+    // request 3. Request 3 takes the first X instance to free, and
+    // request 2 is held a third time, one cycle, for the second.
+    // Pinned as the accepted behaviour, not a fairness guarantee.
+    const std::string trace =
+        writeArrivals("la_readmit.csv", {0, 1, 2, 3});
+    ServeConfig config = traceConfig(
+        {{"la-x", 2, {}, "x"}, {"la-y", 1, {}, "y"}}, trace, 4);
+    config.policy = "fifo";
+    const ServeResult result = runServe(config);
+    std::remove(trace.c_str());
+
+    ASSERT_EQ(result.batches.size(), 4u);
+    const std::vector<std::vector<std::uint64_t>> order = {
+        {0}, {1}, {3}, {2}};
+    for (std::size_t b = 0; b < order.size(); ++b)
+        EXPECT_EQ(result.batches[b].requestIds, order[b]) << b;
+    EXPECT_EQ(result.stats.lookaheadHolds, 3u);
+    // The younger request dispatches first and waits less.
+    EXPECT_LT(result.requests[3].dispatch, result.requests[2].dispatch);
 }
 
 TEST(LookaheadRouting, DelayDampingMigratesWhenWaitOutweighsEnergy)
@@ -497,6 +540,63 @@ TEST(PricedCache, CountersSurfacePerRunHitAndMissDeltas)
     const ServeResult second = runServe(config);
     EXPECT_GT(second.stats.pricedCacheHits, 0u);
     EXPECT_EQ(second.stats.pricedCacheMisses, 0u);
+}
+
+TEST(PricedCache, ConcurrentSweepTalliesAreAnExactLedger)
+{
+    // Four clusters over disjoint stub platforms, so no run's lookups
+    // touch another's entries. Each pricing run sleeps, so the runs'
+    // pricing overlaps on a 4-thread pool; per-run counts must still
+    // equal the run's solo counts and sum to the cache's own.
+    std::vector<ClusterSpec> clusters;
+    for (int k = 0; k < 4; ++k) {
+        const std::string a = "la-ledger-a" + std::to_string(k);
+        const std::string b = "la-ledger-b" + std::to_string(k);
+        registerStub(a, 1000000, 1.0, std::chrono::milliseconds(2));
+        registerStub(b, 1000000, 1.1, std::chrono::milliseconds(2));
+        ClusterSpec cluster;
+        cluster.classes = {{a, 1, {}, "a"}, {b, 1, {}, "b"}};
+        clusters.push_back(cluster);
+    }
+    ServeConfig base;
+    // Two scenarios on one spec: the second prices as cache hits.
+    base.scenarios = {{"la/gcn", {}}, {"la/gcn-again", {}}};
+    base.numRequests = 32;
+    base.meanInterarrivalCycles = 300000.0;
+    base.batching.maxBatch = 2;
+    base.batching.costModel = "measured";
+    base.routing.objective = "energy";
+    base.routing.lookahead = true;
+    base.routing.affinityMargin = 0.1;
+    api::ServeSweep sweep{base};
+    sweep.clusters(clusters).threads(4);
+
+    PricedScenarioCache &cache = PricedScenarioCache::global();
+    cache.clear();
+    std::vector<ServeStats> solo;
+    for (const ServeConfig &config : sweep.expand()) {
+        solo.push_back(runServe(config).stats);
+        cache.clear();
+    }
+
+    const std::vector<ServeResult> runs = sweep.runAll();
+    ASSERT_EQ(runs.size(), solo.size());
+    std::uint64_t hits = 0, misses = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const ServeStats &stats = runs[i].stats;
+        // Per class: the first scenario misses its curve, its B = 1
+        // unit and its B = 2 co-batch run, then hits that co-batch
+        // run again for joules; the second scenario hits the curve.
+        EXPECT_EQ(solo[i].pricedCacheMisses, 6u) << i;
+        EXPECT_EQ(solo[i].pricedCacheHits, 4u) << i;
+        EXPECT_EQ(stats.pricedCacheHits, solo[i].pricedCacheHits) << i;
+        EXPECT_EQ(stats.pricedCacheMisses, solo[i].pricedCacheMisses)
+            << i;
+        hits += stats.pricedCacheHits;
+        misses += stats.pricedCacheMisses;
+    }
+    EXPECT_EQ(hits, cache.hits());
+    EXPECT_EQ(misses, cache.misses());
 }
 
 // ---- scheduled scaling ---------------------------------------------
