@@ -25,6 +25,15 @@ const Expected kTable4[] = {
     {DatasetId::PB, "PB", 19717, 500, 88648, false},
 };
 
+// Print a case as its abbreviation. The default printer dumps the raw
+// bytes of Expected, which include the address of `abbrev`; that address
+// changes from one process to the next, and with it the test names that
+// CTest discovers from the printed value.
+void PrintTo(const Expected &e, std::ostream *os)
+{
+    *os << e.abbrev;
+}
+
 } // namespace
 
 class DatasetTable4 : public ::testing::TestWithParam<Expected>
