@@ -61,16 +61,9 @@ PricedScenarioCache::price(const std::string &platform,
     std::shared_ptr<Entry> entry = slot(key, tally);
     std::call_once(entry->once, [&] {
         try {
-            const api::RunResult run =
-                api::Registry::global().makePlatform(platform)->run(
-                    keyed);
-            entry->value.cyclesByBatch = {run.report.cycles};
-            entry->value.joulesByBatch = {run.report.joules()};
-            entry->value.clockHz = run.report.clockHz;
-            entry->value.weightLoadCycles =
-                run.report.combWeightLoadCycles;
-            entry->value.weightLoadJoules =
-                run.report.weightLoadJoules();
+            entry->value = Priced::of(
+                api::Registry::global().makePlatform(platform)->run(keyed)
+                    .report);
         } catch (...) {
             entry->error = std::current_exception();
         }
@@ -108,32 +101,15 @@ PricedScenarioCache::priceCurve(const std::string &platform,
             // model (and every maxBatch) of the same scenario prices
             // it exactly once. Nested price() calls are safe: the
             // map mutex is never held while a slot fills, and unit
-            // slots never price curves.
-            const Priced unit = price(platform, keyed, tally);
-            CostModelInputs in;
-            in.unitCycles = unit.unitCycles();
-            in.weightLoadCycles = unit.weightLoadCycles;
-            in.unitJoules = unit.unitJoules();
-            in.weightLoadJoules = unit.weightLoadJoules;
-            in.maxBatch = config.batching.maxBatch;
-            in.marginalFraction = config.batching.marginalFraction;
-            in.measuredCycles = [&](std::uint32_t copies) {
-                api::RunSpec batched = keyed;
-                batched.batchCopies = copies;
-                return price(platform, batched, tally).unitCycles();
-            };
-            // Shares the memoized co-batch unit entry with
-            // measuredCycles: asking for both costs one run.
-            in.measuredJoules = [&](std::uint32_t copies) {
-                api::RunSpec batched = keyed;
-                batched.batchCopies = copies;
-                return price(platform, batched, tally).unitJoules();
-            };
-            entry->value.cyclesByBatch = model->curve(in);
-            entry->value.joulesByBatch = model->energyCurve(in);
-            entry->value.clockHz = unit.clockHz;
-            entry->value.weightLoadCycles = unit.weightLoadCycles;
-            entry->value.weightLoadJoules = unit.weightLoadJoules;
+            // slots never price curves. Co-batch runs memoize as
+            // unit entries too, so both curves share each one.
+            entry->value = assemble(
+                price(platform, keyed, tally), *model, config,
+                [&](std::uint32_t copies) {
+                    api::RunSpec batched = keyed;
+                    batched.batchCopies = copies;
+                    return price(platform, batched, tally);
+                });
         } catch (...) {
             entry->error = std::current_exception();
         }
@@ -141,6 +117,43 @@ PricedScenarioCache::priceCurve(const std::string &platform,
     if (entry->error)
         std::rethrow_exception(entry->error);
     return entry->value;
+}
+
+PricedScenarioCache::Priced
+PricedScenarioCache::Priced::of(const SimReport &report)
+{
+    Priced out;
+    out.cyclesByBatch = {report.cycles};
+    out.joulesByBatch = {report.joules()};
+    out.clockHz = report.clockHz;
+    out.weightLoadCycles = report.combWeightLoadCycles;
+    out.weightLoadJoules = report.weightLoadJoules();
+    return out;
+}
+
+PricedScenarioCache::Priced
+PricedScenarioCache::assemble(
+    const Priced &unit, const BatchCostModel &model,
+    const ServeConfig &config,
+    const std::function<Priced(std::uint32_t copies)> &measure)
+{
+    CostModelInputs in;
+    in.unitCycles = unit.unitCycles();
+    in.weightLoadCycles = unit.weightLoadCycles;
+    in.unitJoules = unit.unitJoules();
+    in.weightLoadJoules = unit.weightLoadJoules;
+    in.maxBatch = config.batching.maxBatch;
+    in.marginalFraction = config.batching.marginalFraction;
+    in.measuredCycles = [&](std::uint32_t copies) {
+        return measure(copies).unitCycles();
+    };
+    in.measuredJoules = [&](std::uint32_t copies) {
+        return measure(copies).unitJoules();
+    };
+    Priced out = unit;
+    out.cyclesByBatch = model.curve(in);
+    out.joulesByBatch = model.energyCurve(in);
+    return out;
 }
 
 std::size_t

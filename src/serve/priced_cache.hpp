@@ -21,6 +21,7 @@
 #define HYGCN_SERVE_PRICED_CACHE_HPP
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -68,6 +69,9 @@ class PricedScenarioCache
         /** B=1 energy (the energy curve anchor), joules. */
         double unitJoules() const
         { return joulesByBatch.empty() ? 0.0 : joulesByBatch.front(); }
+
+        /** The unit entry one Platform run's report prices to. */
+        static Priced of(const SimReport &report);
     };
 
     /** One caller's share of the hit/miss counters: every lookup
@@ -107,6 +111,14 @@ class PricedScenarioCache
                       const api::RunSpec &spec,
                       const ServeConfig &config,
                       Tally *tally = nullptr);
+
+    /** @p unit's curve entry under @p config's cost model, for
+     *  priceCurve() and an explicit-platform Scheduler::run() alike;
+     *  @p measure(copies) prices a co-batch unit entry. */
+    static Priced
+    assemble(const Priced &unit, const BatchCostModel &model,
+             const ServeConfig &config,
+             const std::function<Priced(std::uint32_t copies)> &measure);
 
     /** Distinct priced entries (unit + curve) currently held. */
     std::size_t size() const;

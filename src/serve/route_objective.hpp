@@ -1,12 +1,13 @@
 /**
  * @file
- * Pluggable routing objectives. When a batch is ready and more than
- * one instance class is free, the Scheduler scores each candidate
- * class with the configured RouteObjective and dispatches to the
- * lowest score (ties break on service cycles, then
- * least-recently-freed, then lowest instance id — exactly the legacy
- * order, so the default objective reproduces pre-objective schedules
- * byte-for-byte). Three built-ins, selected by name through the
+ * Pluggable routing objectives. Every ready batch is scored on each
+ * candidate class (every free class, plus under lookahead each busy
+ * class at its earliest free cycle) with the configured
+ * RouteObjective, and goes to the lowest score (ties break on service
+ * cycles, then wait, then least-recently-freed, then lowest instance
+ * id) unless an affinity margin keeps it on the scenario's last
+ * class. The "cycles" objective ranks on the integer completion
+ * horizon directly. Three built-ins, selected by name through the
  * api::Registry ("cycles", "energy", "edp"):
  *
  *  - CyclesObjective: the legacy routing — minimize the batch's

@@ -47,33 +47,49 @@ Scheduler::Scheduler(ServeConfig config) : config_(std::move(config))
 
 namespace {
 
+using Priced = PricedScenarioCache::Priced;
+
 /**
- * Convert natively-clocked cost curves into the cluster time base
- * (the first class's last-scenario clock, matching the clockHz the
- * result reports) so one simulated cycle means the same wall-clock
- * time on every instance class — the pyg baselines run at CPU/GPU
- * clocks, not the accelerator's, and per-scenario configs may vary
- * clockHz too. Normalization applies per curve point, since measured
- * and analytic points are independent timings, not multiples of the
- * unit. Equal clocks pass through untouched, keeping uniform-clock
- * schedules (and the checked-in goldens) bit-exact.
+ * Price every (class, scenario) pair through @p price (the cache or
+ * an injected platform) into a result's curve echo: the one pricing
+ * loop behind both run() overloads. Cycle curves convert into the
+ * cluster time base (the first class's last-scenario clock) so a
+ * cycle means the same wall-clock time on every class, point by
+ * point; equal clocks pass through, keeping the goldens bit-exact.
  */
-CostCurves
-normalizeClocks(CostCurves curves,
-                const std::vector<std::vector<double>> &clock)
+ServeResult
+priceCluster(const ServeConfig &config, std::size_t num_classes,
+             const std::function<Priced(std::size_t, std::size_t)> &price)
 {
-    const double base_hz = clock[0].back();
-    for (std::size_t c = 0; c < curves.size(); ++c)
-        for (std::size_t s = 0; s < curves[c].size(); ++s) {
-            if (clock[c][s] == base_hz)
-                continue;
-            for (Cycle &point : curves[c][s])
-                point = std::max<Cycle>(
-                    1, static_cast<Cycle>(std::llround(
-                           static_cast<double>(point) *
-                           (base_hz / clock[c][s]))));
+    ServeResult result;
+    result.config = config;
+    result.cyclesByBatchByClass.resize(num_classes);
+    result.joulesByBatchByClass.resize(num_classes);
+    result.unitCyclesByClass.resize(num_classes);
+    std::vector<std::vector<double>> clock(num_classes);
+    for (std::size_t c = 0; c < num_classes; ++c)
+        for (std::size_t s = 0; s < config.scenarios.size(); ++s) {
+            Priced priced = price(c, s);
+            result.cyclesByBatchByClass[c].push_back(
+                std::move(priced.cyclesByBatch));
+            result.joulesByBatchByClass[c].push_back(
+                std::move(priced.joulesByBatch));
+            clock[c].push_back(priced.clockHz);
         }
-    return curves;
+    result.clockHz = clock[0].back();
+    for (std::size_t c = 0; c < num_classes; ++c)
+        for (std::size_t s = 0; s < config.scenarios.size(); ++s) {
+            std::vector<Cycle> &curve = result.cyclesByBatchByClass[c][s];
+            if (clock[c][s] != result.clockHz)
+                for (Cycle &point : curve)
+                    point = std::max<Cycle>(
+                        1, static_cast<Cycle>(std::llround(
+                               static_cast<double>(point) *
+                               (result.clockHz / clock[c][s]))));
+            result.unitCyclesByClass[c].push_back(curveAt(curve, 1));
+        }
+    result.scenarioUnitCycles = result.unitCyclesByClass.front();
+    return result;
 }
 
 } // namespace
@@ -112,28 +128,14 @@ Scheduler::run() const
     // process-wide cache: runs are deterministic in their spec, so
     // the cached curve is exactly the time any instance of the class
     // spends replaying a co-batch of the scenario.
-    CostCurves curves(classes.size());
-    EnergyCurves energy(classes.size());
-    std::vector<std::vector<double>> clock(classes.size());
-    PricedScenarioCache &cache = PricedScenarioCache::global();
     PricedScenarioCache::Tally tally;
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-        curves[c].reserve(config_.scenarios.size());
-        energy[c].reserve(config_.scenarios.size());
-        clock[c].reserve(config_.scenarios.size());
-        for (const ServeScenario &scenario : config_.scenarios) {
-            const PricedScenarioCache::Priced priced =
-                cache.priceCurve(classes[c].platform,
-                                 classSpec(classes[c], scenario),
-                                 config_, &tally);
-            curves[c].push_back(priced.cyclesByBatch);
-            energy[c].push_back(priced.joulesByBatch);
-            clock[c].push_back(priced.clockHz);
-        }
-    }
+    auto price = [&](std::size_t c, std::size_t s) {
+        return PricedScenarioCache::global().priceCurve(
+            classes[c].platform, classSpec(classes[c], config_.scenarios[s]),
+            config_, &tally);
+    };
     ServeResult result =
-        simulate(classes, normalizeClocks(std::move(curves), clock),
-                 energy, clock[0].back());
+        simulate(classes, priceCluster(config_, classes.size(), price));
     // The pricing phase above is this run's cache traffic, tallied
     // lookup by lookup, so the counts stay exact under a concurrent
     // sweep and make affinity's locality benefit observable per run.
@@ -152,159 +154,708 @@ Scheduler::run(const api::Platform &platform) const
 
     const std::unique_ptr<BatchCostModel> model =
         api::Registry::global().makeCostModel(config_.batching.costModel);
-
-    CostCurves curves(1);
-    EnergyCurves energy(1);
-    std::vector<std::vector<double>> clock(1);
-    curves[0].reserve(config_.scenarios.size());
-    energy[0].reserve(config_.scenarios.size());
-    clock[0].reserve(config_.scenarios.size());
-    for (const ServeScenario &scenario : config_.scenarios) {
-        api::RunSpec spec = scenario.spec;
-        spec.platform = config_.platform;
-        const api::RunResult run = platform.run(spec);
-        CostModelInputs in;
-        in.unitCycles = run.report.cycles;
-        in.weightLoadCycles = run.report.combWeightLoadCycles;
-        in.unitJoules = run.report.joules();
-        in.weightLoadJoules = run.report.weightLoadJoules();
-        in.maxBatch = config_.batching.maxBatch;
-        in.marginalFraction = config_.batching.marginalFraction;
+    const std::vector<ClusterSpec::InstanceClass> classes =
+        resolveClasses();
+    auto price = [&](std::size_t, std::size_t s) {
+        const api::RunSpec spec = classSpec(classes[0], config_.scenarios[s]);
         // One co-batch run serves both curves (the registry path gets
-        // the same sharing from the PricedScenarioCache).
-        std::map<std::uint32_t, SimReport> co_batch;
-        auto measure = [&](std::uint32_t copies) -> const SimReport & {
-            auto it = co_batch.find(copies);
-            if (it == co_batch.end()) {
+        // the same sharing from the cache's unit entries).
+        std::map<std::uint32_t, Priced> co_batch;
+        auto measure = [&](std::uint32_t copies) {
+            auto [it, fresh] = co_batch.try_emplace(copies);
+            if (fresh) {
                 api::RunSpec batched = spec;
                 batched.batchCopies = copies;
-                it = co_batch
-                         .emplace(copies, platform.run(batched).report)
-                         .first;
+                it->second = Priced::of(platform.run(batched).report);
             }
             return it->second;
         };
-        in.measuredCycles = [&](std::uint32_t copies) {
-            return measure(copies).cycles;
-        };
-        in.measuredJoules = [&](std::uint32_t copies) {
-            return measure(copies).joules();
-        };
-        curves[0].push_back(model->curve(in));
-        energy[0].push_back(model->energyCurve(in));
-        clock[0].push_back(run.report.clockHz);
-    }
-    return simulate(resolveClasses(),
-                    normalizeClocks(std::move(curves), clock), energy,
-                    clock[0].back());
+        return PricedScenarioCache::assemble(
+            Priced::of(platform.run(spec).report), *model, config_, measure);
+    };
+    return simulate(classes, priceCluster(config_, 1, price));
 }
 
-ServeResult
-Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
-                    const CostCurves &curves, const EnergyCurves &energy,
-                    double clock_hz) const
+// ---- the serving core ----------------------------------------------
+//
+// simulate() is an event loop over three parts, each owning one
+// decision: the InstancePool owns where every replica is in its
+// lifecycle and when it frees, the ControlLoop owns how many replicas
+// run, how much power they may draw and which running batch a tight
+// deadline may displace, and the Router owns which class a formed
+// batch runs on, or whether it waits for one.
+
+namespace {
+
+/** Replica lifecycle, one bit per state so a heap can name the states
+ *  its live entries expect. Control plane off: just Idle/Busy. */
+enum InstState : unsigned {
+    kIdle = 1,     ///< active, free to dispatch (on its class heap)
+    kBusy = 2,     ///< active, serving a batch
+    kWarming = 4,  ///< scale-up in flight
+    kDraining = 8, ///< serving its last batch, parks at completion
+    kParked = 16,  ///< offline capacity (above the active count)
+
+    // Sets a heap's live entries may be in.
+    kServing = kBusy | kDraining,   ///< a work completion is due
+    kPending = kServing | kWarming, ///< a completion-heap event is due
+    kRejoining = kBusy | kWarming,  ///< frees onto its class heap
+};
+
+using InstanceKey = std::pair<Cycle, std::uint32_t>;
+using InstanceMinHeap =
+    std::priority_queue<InstanceKey, std::vector<InstanceKey>,
+                        std::greater<InstanceKey>>;
+
+/** Cycle-valued control knobs resolve against the mean interarrival
+ *  gap, like ArrivalSpec's, so presets scale with their load level. */
+Cycle
+resolveCycles(const ServeConfig &config, Cycle configured, double factor)
 {
-    ServeResult result;
-    result.config = config_;
-    result.cyclesByBatchByClass = curves;
-    result.joulesByBatchByClass = energy;
-    result.unitCyclesByClass.resize(curves.size());
-    for (std::size_t c = 0; c < curves.size(); ++c) {
-        result.unitCyclesByClass[c].reserve(curves[c].size());
-        for (const std::vector<Cycle> &curve : curves[c])
-            result.unitCyclesByClass[c].push_back(curveAt(curve, 1));
-    }
-    result.scenarioUnitCycles = result.unitCyclesByClass.front();
-    result.clockHz = clock_hz;
+    if (configured > 0)
+        return configured;
+    const double mean_gap = std::max(config.meanInterarrivalCycles, 1.0);
+    return std::max<Cycle>(
+        1, static_cast<Cycle>(std::llround(factor * mean_gap)));
+}
 
-    // Requests generate lazily, one look-ahead arrival at a time:
-    // generation never reads service state, so interleaving it with
-    // the event loop reproduces the up-front stream exactly while a
-    // million-request run holds one pending request instead of all
-    // of them. The materialized path keeps its arena — a single
-    // contiguous RequestRecord vector indexed by request id,
-    // preallocated once; streaming runs skip it entirely.
-    const std::uint64_t total_requests = config_.numRequests;
-    const bool streaming = config_.stats.streaming;
-    if (!streaming)
-        result.requests.resize(total_requests);
+/** The batch an instance is serving: what the power ledger releases
+ *  at its completion and what preemption needs to displace it: its
+ *  BatchRecord index, its members and their tightest deadline (kept
+ *  under preemption; a bulk batch has no deadline). */
+struct RunningBatch
+{
+    std::uint32_t instance = 0;
+    Cycle dispatch = 0;
+    Cycle service = 0;
+    double joules = 0.0;
+    double watts = 0.0;
+    std::uint64_t record = 0;
+    std::vector<ServeRequest> members;
+    Cycle minDeadline = kNeverCycle;
+};
 
-    RequestGenerator generator(config_);
-    std::uint64_t generated = 0;
-    std::optional<ServeRequest> pending;
-    auto refill = [&generator, &generated, &pending, total_requests] {
-        if (generated < total_requests) {
-            pending = generator.next();
-            ++generated;
-        } else {
-            pending.reset();
+/**
+ * The instance arena, its records and the replica lifecycle, in
+ * class blocks at each class's replica ceiling so autoscaling never
+ * reindexes; replicas beyond the initial count start Parked.
+ * Per-class free heaps are keyed (last-freed cycle, id), so comparing
+ * class tops in class order reproduces a whole-cluster
+ * least-recently-freed scan. Busy and warming instances share one
+ * completion heap, which lookahead mirrors into per-class horizons.
+ *
+ * Each instance has one ready_at cycle, read by its state: when it
+ * freed (Idle), when its batch completes (Busy, Draining), when it
+ * comes online (Warming), or when a warm-up may start (Parked). A
+ * heap entry is live only while its key equals ready_at in a state
+ * the heap expects, so churn and preemption invalidate lazily.
+ */
+class InstancePool
+{
+  public:
+    InstancePool(const ServeConfig &config,
+                 const std::vector<ClusterSpec::InstanceClass> &classes,
+                 std::vector<InstanceRecord> &records)
+        : active_(classes.size(), 0), idle_(classes.size(), 0),
+          free_(classes.size()),
+          horizon_(config.routing.lookahead ? classes.size() : 0),
+          records_(records),
+          warmup_(resolveCycles(config, config.control.warmupCycles, 8.0)),
+          drain_(resolveCycles(config, config.control.drainCycles, 4.0))
+    {
+        const bool scaling = config.control.scalingPolicy != "static";
+        for (std::uint32_t c = 0; c < classes.size(); ++c) {
+            start_.push_back(size());
+            capacity_.push_back(scaling && classes[c].maxCount
+                                    ? classes[c].maxCount
+                                    : classes[c].count);
+            class_of_.resize(size() + capacity_[c], c);
         }
-    };
-    refill();
-
-    const std::unique_ptr<SchedulerPolicy> policy =
-        api::Registry::global().makePolicy(config_.policy, config_);
-    const std::unique_ptr<RouteObjective> objective =
-        api::Registry::global().makeObjective(config_.routing.objective);
-
-    const std::size_t num_classes = curves.size();
-    const std::size_t num_scenarios = config_.scenarios.size();
-    const std::size_t max_batch = config_.batching.maxBatch;
-    const bool raw_cycles = objective->scoresServiceCycles();
-
-    // Routing-spec switches. With both off every candidate waits 0
-    // cycles and no incumbent is retained, so the dispatch chain
-    // below ranks free classes only.
-    const RoutingSpec &routing = config_.routing;
-    const bool lookahead_on = routing.lookahead;
-    const bool affinity_on = routing.affinityMargin > 0.0;
-
-    // Objective scores depend only on (class, scenario, batch size),
-    // so they price once into a flat table here and the hot loop
-    // never calls the objective again. Under the default "cycles"
-    // objective routing ranks on the raw integer curves instead, so
-    // no table is needed at all.
-    std::vector<std::vector<std::vector<double>>> scores;
-    if (!raw_cycles) {
-        scores.assign(num_classes, {});
-        for (std::size_t c = 0; c < num_classes; ++c) {
-            scores[c].assign(num_scenarios, {});
-            for (std::size_t s = 0; s < num_scenarios; ++s) {
-                scores[c][s].resize(max_batch);
-                for (std::size_t b = 1; b <= max_batch; ++b)
-                    scores[c][s][b - 1] = objective->score(
-                        curveAt(curves[c][s], b),
-                        energyCurveAt(energy[c][s], b), b, clock_hz);
+        state_.assign(size(), kParked);
+        ready_at_.assign(size(), 0);
+        running_.resize(size());
+        records_.resize(size());
+        for (std::uint32_t i = 0; i < size(); ++i) {
+            const std::uint32_t c = class_of_[i];
+            records_[i].id = i;
+            records_[i].classIndex = c;
+            if (i - start_[c] < classes[c].count) {
+                ++active_[c];
+                makeIdle(i, 0);
             }
         }
     }
 
-    // The policy's view of batch cost: the service cycles of the
-    // class the configured objective would pick with every instance
-    // free — the same best case routing aims for. Under "cycles"
-    // that is the cheapest curve (the legacy oracle, byte-identical);
-    // under "energy"/"edp" it is the efficient class's (slower)
-    // curve, so deadline-aware batch sizing budgets against where
-    // the batch will actually land instead of a class routing would
-    // never choose. Answers for the policy-reachable sizes
-    // (1..batching.maxBatch) precompute into a table; anything else falls
-    // back to the direct scan.
-    const RouteObjective *scorer = objective.get();
-    auto oracle_direct = [&curves, &energy, scorer, clock_hz](
-                             std::uint32_t scenario,
-                             std::size_t batch) {
-        const bool raw = scorer->scoresServiceCycles();
+    std::uint32_t size() const
+    { return static_cast<std::uint32_t>(class_of_.size()); }
+    std::uint32_t capacity(std::size_t c) const { return capacity_[c]; }
+    std::uint32_t active(std::size_t c) const { return active_[c]; }
+    std::uint32_t idle(std::size_t c) const { return idle_[c]; }
+    bool in(std::uint32_t inst, unsigned states) const
+    { return (states & state_[inst]) != 0; }
+    Cycle readyAt(std::uint32_t inst) const { return ready_at_[inst]; }
+    RunningBatch &running(std::uint32_t inst) { return running_[inst]; }
+    std::uint32_t idleTotal() const
+    {
+        std::uint32_t total = 0;
+        for (std::uint32_t n : idle_)
+            total += n;
+        return total;
+    }
+
+    /** Class @p c's least-recently-freed idle instance, or nullptr. */
+    const InstanceKey *idleTop(std::size_t c)
+    { return liveTop(free_[c], kIdle); }
+    /** Class @p c's earliest busy-until horizon, or nullptr. */
+    const InstanceKey *horizonTop(std::size_t c)
+    { return liveTop(horizon_[c], kRejoining); }
+
+    /** Put class @p c's idle top to work on @p size requests from
+     *  @p now for @p service cycles. */
+    RunningBatch &occupy(std::size_t c, Cycle now, Cycle service,
+                         std::size_t size)
+    {
+        const std::uint32_t inst = free_[c].top().second;
+        free_[c].pop();
+        --idle_[c];
+        state_[inst] = kBusy;
+        expect(inst, now + service);
+        InstanceRecord &record = records_[inst];
+        ++record.batches;
+        record.requests += size;
+        record.busyCycles += service;
+        RunningBatch &run = running_[inst];
+        run.instance = inst;
+        run.dispatch = now;
+        run.service = service;
+        return run;
+    }
+
+    /** Cut @p inst's batch short: it frees at @p cycle, without its
+     *  @p displaced requests. Its horizon entry just goes stale. */
+    void cutShort(std::uint32_t inst, Cycle cycle, std::size_t displaced)
+    {
+        InstanceRecord &record = records_[inst];
+        record.busyCycles -= running_[inst].service;
+        record.busyCycles += cycle - running_[inst].dispatch;
+        record.requests -= displaced;
+        ready_at_[inst] = cycle;
+        completions_.push({cycle, inst});
+    }
+
+    /** Release the completions due by @p now: a finished batch's draw
+     *  leaves @p ledger and its instance re-lists at the completion
+     *  cycle, or parks if draining. Warm-ups come online. */
+    template <typename Ledger>
+    void release(Cycle now, Ledger &ledger)
+    {
+        while (!completions_.empty() && completions_.top().first <= now) {
+            const auto [cycle, inst] = completions_.top();
+            completions_.pop();
+            if (!live({cycle, inst}, kPending))
+                continue;
+            if (in(inst, kServing)) {
+                ledger.release(running_[inst]);
+                released_makespan_ = std::max(released_makespan_, cycle);
+            }
+            if (state_[inst] == kDraining) {
+                state_[inst] = kParked;
+                ready_at_[inst] = satAddCycles(cycle, drain_);
+            } else {
+                makeIdle(inst, cycle);
+            }
+        }
+    }
+
+    /** Warm up class @p c's lowest-id parked replica once its drain
+     *  is over. False when none is parked. */
+    bool scaleUp(std::size_t c, Cycle now)
+    {
+        for (std::uint32_t i = start_[c]; i < start_[c] + capacity_[c];
+             ++i)
+            if (state_[i] == kParked) {
+                state_[i] = kWarming;
+                expect(i, satAddCycles(std::max(now, ready_at_[i]), warmup_));
+                ++active_[c];
+                return true;
+            }
+        return false;
+    }
+
+    /** Retire class @p c's highest-id replica that is cheapest to stop:
+     *  cancel a warm-up, else park an idle one, else drain a busy one.
+     *  False when none qualifies. */
+    bool scaleDown(std::size_t c, Cycle now)
+    {
+        const std::uint32_t none = start_[c] + capacity_[c];
+        std::uint32_t warming = none, idle = none, busy = none;
+        for (std::uint32_t i = start_[c]; i < none; ++i) {
+            if (state_[i] == kWarming)
+                warming = i;
+            else if (state_[i] == kIdle)
+                idle = i;
+            else if (state_[i] == kBusy)
+                busy = i;
+        }
+        if (warming != none) {
+            state_[warming] = kParked;
+            ready_at_[warming] = now;
+        } else if (idle != none) {
+            state_[idle] = kParked;
+            ready_at_[idle] = satAddCycles(now, drain_);
+            --idle_[c];
+        } else if (busy != none) {
+            state_[busy] = kDraining;
+        } else {
+            return false;
+        }
+        --active_[c];
+        return true;
+    }
+
+    /** The next completion-heap event, stale entries included. */
+    Cycle nextCompletion() const
+    { return completions_.empty() ? kNeverCycle : completions_.top().first; }
+
+    /** The last work completion, released or in flight. */
+    Cycle makespan()
+    {
+        Cycle makespan = released_makespan_;
+        for (; !completions_.empty(); completions_.pop())
+            if (live(completions_.top(), kServing))
+                makespan = std::max(makespan, completions_.top().first);
+        return makespan;
+    }
+
+  private:
+    bool live(InstanceKey key, unsigned states) const
+    { return in(key.second, states) && key.first == ready_at_[key.second]; }
+    const InstanceKey *liveTop(InstanceMinHeap &heap, unsigned states)
+    {
+        while (!heap.empty() && !live(heap.top(), states))
+            heap.pop();
+        return heap.empty() ? nullptr : &heap.top();
+    }
+
+    void makeIdle(std::uint32_t inst, Cycle cycle)
+    {
+        state_[inst] = kIdle;
+        ready_at_[inst] = cycle;
+        free_[class_of_[inst]].push({cycle, inst});
+        ++idle_[class_of_[inst]];
+    }
+
+    /** Schedule @p inst's completion (or warm-up) at @p cycle. */
+    void expect(std::uint32_t inst, Cycle cycle)
+    {
+        ready_at_[inst] = cycle;
+        completions_.push({cycle, inst});
+        if (!horizon_.empty())
+            horizon_[class_of_[inst]].push({cycle, inst});
+    }
+
+    std::vector<std::uint32_t> start_, capacity_, active_, idle_;
+    std::vector<std::uint32_t> class_of_;
+    std::vector<InstState> state_;
+    std::vector<Cycle> ready_at_;
+    std::vector<RunningBatch> running_;
+    std::vector<InstanceMinHeap> free_, horizon_;
+    InstanceMinHeap completions_;
+    std::vector<InstanceRecord> &records_;
+    Cycle warmup_, drain_;
+    Cycle released_makespan_ = 0;
+};
+
+/**
+ * The control plane: the scaling tick, the power ledger and
+ * preemption. Scaling and preemption each gate their own work. The
+ * ledger always runs, so every run reports its peak draw; only
+ * enforcing a cap is gated.
+ */
+class ControlLoop
+{
+  public:
+    ControlLoop(const ServeConfig &config,
+                const std::vector<ClusterSpec::InstanceClass> &classes)
+        : cap_watts_(config.control.powerCapWatts),
+          preemption_(config.control.preemption),
+          overhead_fraction_(config.control.preemptionOverheadFraction),
+          interval_(resolveCycles(config, config.control.intervalCycles,
+                                  16.0)),
+          next_tick_(interval_)
+    {
+        if (config.control.scalingPolicy == "static")
+            return;
+        scaler_ = api::Registry::global().makeScalingPolicy(
+            config.control.scalingPolicy, config);
+        for (const ClusterSpec::InstanceClass &cls : classes) {
+            min_replicas_.push_back(cls.minCount ? cls.minCount
+                                                 : cls.count);
+            timelines_.push_back({{Cycle{0}, cls.count}});
+        }
+    }
+
+    bool preempts() const { return preemption_; }
+    bool capped() const { return cap_watts_ > 0.0; }
+    bool overCap(double watts) const
+    { return current_watts_ + watts > cap_watts_; }
+    bool drawsNothing() const { return current_watts_ <= 0.0; }
+    Cycle nextTick() const { return scaler_ ? next_tick_ : kNeverCycle; }
+
+    /** Charge a dispatched batch drawing @p watts to the ledger, the
+     *  scaling window and preemption's bookkeeping. */
+    void charge(RunningBatch &run, const std::vector<ServeRequest> &members,
+                double watts)
+    {
+        run.watts = watts;
+        current_watts_ += watts;
+        peak_watts_ = std::max(peak_watts_, current_watts_);
+        if (scaler_) {
+            window_dispatched_ += members.size();
+            for (const ServeRequest &member : members)
+                if (member.deadline != kNeverCycle &&
+                    run.dispatch + run.service > member.deadline)
+                    ++window_missed_;
+        }
+        if (preemption_) {
+            run.members = members;
+            run.minDeadline = kNeverCycle;
+            for (const ServeRequest &member : members)
+                run.minDeadline = std::min(run.minDeadline, member.deadline);
+        }
+    }
+
+    void release(RunningBatch &run)
+    {
+        current_watts_ -= run.watts;
+        run.watts = 0.0;
+        if (current_watts_ < 1e-9)
+            current_watts_ = 0.0;
+    }
+
+    /** At a due tick, apply the scaling policy's per-class delta. */
+    void tick(Cycle now, std::size_t queued, InstancePool &pool)
+    {
+        if (!scaler_ || now < next_tick_)
+            return;
+        for (std::size_t c = 0; c < min_replicas_.size(); ++c) {
+            ScalingSignals signals;
+            signals.now = now;
+            signals.queuedRequests = queued;
+            signals.activeReplicas = pool.active(c);
+            signals.freeReplicas = pool.idle(c);
+            signals.minReplicas = min_replicas_[c];
+            signals.maxReplicas = pool.capacity(c);
+            signals.windowDispatched = window_dispatched_;
+            signals.windowMissed = window_missed_;
+            const std::int64_t target = std::clamp<std::int64_t>(
+                static_cast<std::int64_t>(pool.active(c)) +
+                    scaler_->delta(signals),
+                min_replicas_[c], pool.capacity(c));
+            const bool up = target > pool.active(c);
+            while (target != pool.active(c) &&
+                   (up ? pool.scaleUp(c, now) : pool.scaleDown(c, now))) {
+                ++(up ? scale_ups_ : scale_downs_);
+                timelines_[c].push_back({now, pool.active(c)});
+            }
+        }
+        window_dispatched_ = 0;
+        window_missed_ = 0;
+        while (next_tick_ <= now)
+            next_tick_ = satAddCycles(next_tick_, interval_);
+    }
+
+    /**
+     * A tight-deadline head about to burn while every replica grinds:
+     * checkpoint-displace the bulk batch with the most remaining work,
+     * re-queue its members and free its replica after the checkpoint
+     * overhead, if that saves the head's deadline (priced by
+     * @p oracle). Returns the requests displaced.
+     */
+    std::size_t preempt(Cycle now, bool drain, SchedulerPolicy &policy,
+                        const CostOracle &oracle, InstancePool &pool,
+                        std::vector<BatchRecord> &batches)
+    {
+        const SchedulerPolicy::HeadPeek peek = policy.peekHead(now, drain);
+        if (!peek.valid || peek.deadline == kNeverCycle)
+            return 0;
+        Cycle earliest = kNeverCycle;
+        RunningBatch *victim = nullptr;
+        for (std::uint32_t i = 0; i < pool.size(); ++i) {
+            if (pool.in(i, kPending))
+                earliest = std::min(earliest, pool.readyAt(i));
+            if (pool.in(i, kBusy) && !pool.running(i).members.empty() &&
+                pool.running(i).minDeadline == kNeverCycle &&
+                (victim == nullptr ||
+                 pool.readyAt(i) > pool.readyAt(victim->instance)))
+                victim = &pool.running(i);
+        }
+        const Cycle unit = oracle(peek.scenario, 1);
+        if (earliest == kNeverCycle ||
+            satAddCycles(earliest, unit) <= peek.deadline)
+            return 0; // a replica frees in time anyway
+        if (victim == nullptr)
+            return 0; // nothing bulk to displace
+        const Cycle executed = now - victim->dispatch;
+        const Cycle overhead = std::max<Cycle>(
+            1, static_cast<Cycle>(std::llround(
+                   overhead_fraction_ *
+                   static_cast<double>(victim->service))));
+        if (satAddCycles(satAddCycles(now, overhead), unit) > peek.deadline)
+            return 0; // too late for the checkpoint to help
+
+        const std::size_t displaced = victim->members.size();
+        BatchRecord &batch = batches[victim->record];
+        batch.preempted = true;
+        batch.completion = now + overhead;
+        batch.joules = victim->joules *
+                       (static_cast<double>(executed + overhead) /
+                        static_cast<double>(victim->service));
+        // Its watts stay charged through the checkpoint.
+        pool.cutShort(victim->instance, now + overhead, displaced);
+        for (const ServeRequest &member : victim->members)
+            policy.admit(member);
+        victim->members.clear();
+        ++preemptions_;
+        preempted_cycles_ += executed;
+        return displaced;
+    }
+
+    void report(ServeStats &stats, Cycle makespan, double clock_hz)
+    {
+        stats.peakClusterWatts = peak_watts_;
+        if (makespan > 0)
+            stats.meanClusterWatts = stats.totalJoules * clock_hz /
+                                     static_cast<double>(makespan);
+        stats.preemptions = preemptions_;
+        stats.preemptedCycles = preempted_cycles_;
+        stats.scaleUpEvents = scale_ups_;
+        stats.scaleDownEvents = scale_downs_;
+        stats.replicaTimelines = std::move(timelines_);
+    }
+
+  private:
+    double cap_watts_;
+    bool preemption_;
+    double overhead_fraction_;
+    Cycle interval_, next_tick_;
+    std::unique_ptr<ScalingPolicy> scaler_;
+    std::vector<std::uint32_t> min_replicas_;
+    std::vector<std::vector<ServeStats::ReplicaSample>> timelines_;
+    double current_watts_ = 0.0, peak_watts_ = 0.0;
+    std::uint64_t window_dispatched_ = 0, window_missed_ = 0;
+    std::uint64_t scale_ups_ = 0, scale_downs_ = 0, preemptions_ = 0;
+    Cycle preempted_cycles_ = 0;
+};
+
+/**
+ * Picks the class a formed batch runs on: free classes at wait 0
+ * and, under lookahead, busy ones at their horizon, ranked on the
+ * objective; affinity may keep a scenario on its last class. The cap
+ * filters wait-0 candidates only, since holding for a busy class
+ * defers the draw to a completion that frees budget anyway.
+ */
+class Router
+{
+  public:
+    /** Blocked: the cap refused every free class. Held: lookahead or
+     *  affinity chose a busy class that frees soon. */
+    enum class Placement : std::uint8_t {
+        Dispatched,
+        Blocked,
+        Held,
+    };
+
+    struct Route
+    {
+        Placement placement = Placement::Blocked;
+        std::size_t cls = 0;
+        Cycle cost = 0;
+    };
+
+    Router(const ServeConfig &config, const ServeResult &priced)
+        : curves_(priced.cyclesByBatchByClass),
+          energy_(priced.joulesByBatchByClass), clock_hz_(priced.clockHz),
+          objective_(api::Registry::global().makeObjective(
+              config.routing.objective)),
+          raw_cycles_(objective_->scoresServiceCycles()),
+          lookahead_(config.routing.lookahead),
+          margin_(config.routing.affinityMargin),
+          max_batch_(config.batching.maxBatch),
+          last_class_(margin_ > 0.0 ? config.scenarios.size() : 0,
+                      curves_.size()),
+          cands_(curves_.size())
+    {
+        // Free-class scores and the policy's best case depend only on
+        // (class, scenario, size), so they price once. "cycles" ranks
+        // on the raw integer curves and needs no score table.
+        const std::size_t num_scenarios = config.scenarios.size();
+        scores_.assign(raw_cycles_ ? 0 : curves_.size(),
+                       std::vector<std::vector<double>>(num_scenarios));
+        best_case_.resize(num_scenarios);
+        for (std::uint32_t s = 0; s < num_scenarios; ++s)
+            for (std::size_t b = 1; b <= max_batch_; ++b) {
+                for (std::size_t c = 0; c < scores_.size(); ++c)
+                    scores_[c][s].push_back(objective_->score(
+                        cost(c, s, b), joules(c, s, b), b, clock_hz_));
+                best_case_[s].push_back(bestCaseScan(s, b));
+            }
+    }
+
+    Cycle cost(std::size_t c, std::uint32_t s, std::size_t batch) const
+    { return curveAt(curves_[c][s], batch); }
+    double joules(std::size_t c, std::uint32_t s, std::size_t batch) const
+    { return energyCurveAt(energy_[c][s], batch); }
+    /** A batch's draw on class @p c: its joules over its time. */
+    double batchWatts(std::size_t c, std::uint32_t s,
+                      std::size_t batch) const
+    {
+        return joules(c, s, batch) * clock_hz_ /
+               static_cast<double>(cost(c, s, batch));
+    }
+
+    /** The policy's cost oracle: the cycles on the class the
+     *  objective picks with every instance free, so deadline-aware
+     *  sizing budgets against where the batch will land. */
+    Cycle bestCase(std::uint32_t s, std::size_t batch) const
+    {
+        if (batch >= 1 && batch <= best_case_[s].size())
+            return best_case_[s][batch - 1];
+        return bestCaseScan(s, batch);
+    }
+
+    Route route(std::uint32_t scenario, std::size_t batch, Cycle now,
+                InstancePool &pool, const ControlLoop &control)
+    {
+        const std::size_t none = cands_.size();
+        bool cap_skipped = false;
+        for (std::size_t c = 0; c < none; ++c)
+            cap_skipped |= !consider(c, scenario, batch, now, pool, control);
+        std::size_t best = none;
+        for (std::size_t c = 0; c < none; ++c)
+            if (cands_[c].eligible &&
+                (best == none || beats(cands_[c], cands_[best])))
+                best = c;
+
+        // Affinity: stay on the scenario's last class unless the
+        // winner beats it by more than the relative margin.
+        const std::size_t last =
+            last_class_.empty() ? none : last_class_[scenario];
+        bool migrated = false, retained = false;
+        if (best != none && last < none && last != best &&
+            cands_[last].eligible) {
+            migrated = cands_[best].score <
+                       cands_[last].score * (1.0 - margin_);
+            retained = !migrated;
+            if (retained)
+                best = last;
+        }
+        if (best == none && cap_skipped && control.drawsNothing()) {
+            // Progress guarantee: an idle cluster places the batch on
+            // its least-thirsty free class even past the cap, or a cap
+            // below one batch's draw would live-lock.
+            for (std::size_t c = 0; c < none; ++c)
+                if (pool.idleTop(c) != nullptr &&
+                    (best == none || batchWatts(c, scenario, batch) <
+                                         batchWatts(best, scenario, batch)))
+                    best = c;
+            cands_[best].wait = 0;
+            cands_[best].cost = cost(best, scenario, batch);
+        }
+        if (best == none)
+            return {};
+        if (cands_[best].wait > 0)
+            return {Placement::Held};
+        if (!last_class_.empty()) {
+            affinity_hits_ += retained;
+            affinity_migrations_ += migrated;
+            last_class_[scenario] = best;
+        }
+        return {Placement::Dispatched, best, cands_[best].cost};
+    }
+
+    void report(ServeStats &stats) const
+    {
+        stats.affinityHits = affinity_hits_;
+        stats.affinityMigrations = affinity_migrations_;
+    }
+
+  private:
+    struct Candidate
+    {
+        bool eligible = false;
+        Cycle wait = 0;
+        Cycle cost = 0;
+        /** Integer completion horizon (wait + cost): what the
+         *  raw-cycles path ranks on, and its score. */
+        Cycle completionKey = 0;
+        double score = 0.0;
+        InstanceKey rep{};
+    };
+
+    /** Fill class @p c's candidate; false when the cap turned a free
+     *  class away. */
+    bool consider(std::size_t c, std::uint32_t s, std::size_t batch,
+                  Cycle now, InstancePool &pool, const ControlLoop &control)
+    {
+        Candidate &cand = cands_[c];
+        cand.eligible = false;
+        const Cycle cost = this->cost(c, s, batch);
+        if (const InstanceKey *idle = pool.idleTop(c)) {
+            if (control.capped() &&
+                control.overCap(batchWatts(c, s, batch)))
+                return false;
+            const std::size_t b = std::min(batch, max_batch_);
+            cand = {true, 0, cost, cost,
+                    raw_cycles_ ? static_cast<double>(cost)
+                                : scores_[c][s][b - 1],
+                    *idle};
+            return true;
+        }
+        const InstanceKey *horizon =
+            lookahead_ ? pool.horizonTop(c) : nullptr;
+        if (horizon == nullptr)
+            return true;
+        // Due completions were released, so the horizon is future.
+        const Cycle wait = horizon->first - now;
+        const Cycle key = satAddCycles(wait, cost);
+        const double score =
+            raw_cycles_ ? static_cast<double>(key)
+                        : objective_->score(
+                              RouteCandidate{c, wait, cost,
+                                             joules(c, s, batch), batch},
+                              clock_hz_);
+        cand = {true, wait, cost, key, score, *horizon};
+        return true;
+    }
+
+    /** The deterministic chain: score (the integer completion
+     *  horizon under "cycles"), service cycles, wait, then the
+     *  (last-freed, id) key. */
+    bool beats(const Candidate &a, const Candidate &b) const
+    {
+        const int order = raw_cycles_
+                              ? (a.completionKey < b.completionKey   ? -1
+                                 : a.completionKey > b.completionKey ? 1
+                                                                     : 0)
+                              : compareScores(a.score, b.score);
+        return order < 0 ||
+               (order == 0 && std::tie(a.cost, a.wait, a.rep) <
+                                  std::tie(b.cost, b.wait, b.rep));
+    }
+
+    Cycle bestCaseScan(std::uint32_t s, std::size_t batch) const
+    {
         Cycle best_cycles = kNeverCycle;
         double best_score = 0.0;
-        for (std::size_t c = 0; c < curves.size(); ++c) {
-            const Cycle cyc = curveAt(curves[c][scenario], batch);
-            if (raw) {
+        for (std::size_t c = 0; c < curves_.size(); ++c) {
+            const Cycle cyc = cost(c, s, batch);
+            if (raw_cycles_) {
                 best_cycles = std::min(best_cycles, cyc);
                 continue;
             }
-            const double score = scorer->score(
-                cyc, energyCurveAt(energy[c][scenario], batch), batch,
-                clock_hz);
+            const double score = objective_->score(
+                cyc, joules(c, s, batch), batch, clock_hz_);
             const int order = best_cycles == kNeverCycle
                                   ? -1
                                   : compareScores(score, best_score);
@@ -314,840 +865,244 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
             }
         }
         return best_cycles;
-    };
-    std::vector<std::vector<Cycle>> oracle_table(num_scenarios);
-    for (std::size_t s = 0; s < num_scenarios; ++s) {
-        oracle_table[s].resize(max_batch);
-        for (std::size_t b = 1; b <= max_batch; ++b)
-            oracle_table[s][b - 1] =
-                oracle_direct(static_cast<std::uint32_t>(s), b);
     }
-    policy->bindCostOracle([&oracle_table, oracle_direct](
-                               std::uint32_t scenario,
-                               std::size_t batch) {
-        const std::vector<Cycle> &row = oracle_table[scenario];
-        if (batch >= 1 && batch <= row.size())
-            return row[batch - 1];
-        return oracle_direct(scenario, batch);
-    });
 
-    // ---- control plane ---------------------------------------------
-    // Scaling, the power cap and preemption each gate their own
-    // bookkeeping; with all three off no replica ever warms, drains,
-    // parks or is displaced, so instances just alternate Idle/Busy.
-    const ControlPlaneSpec &control = config_.control;
-    const bool control_on = control.enabled();
-    const bool scaling_on =
-        control_on && control.scalingPolicy != "static";
-    const bool cap_on = control_on && control.powerCapWatts > 0.0;
-    const bool preempt_on = control_on && control.preemption;
-    const double cap_watts = control.powerCapWatts;
+    const CostCurves &curves_;
+    const EnergyCurves &energy_;
+    double clock_hz_;
+    std::unique_ptr<RouteObjective> objective_;
+    bool raw_cycles_, lookahead_;
+    double margin_;
+    std::size_t max_batch_;
+    std::vector<std::vector<std::vector<double>>> scores_;
+    std::vector<std::vector<Cycle>> best_case_;
+    /** Per scenario (none yet = num_classes); empty w/o affinity. */
+    std::vector<std::size_t> last_class_;
+    std::vector<Candidate> cands_;
+    std::uint64_t affinity_hits_ = 0, affinity_migrations_ = 0;
+};
 
-    // Cycle-valued control knobs resolve against the mean
-    // interarrival gap, like ArrivalSpec's, so presets scale with
-    // their load level.
-    const double mean_gap =
-        std::max(config_.meanInterarrivalCycles, 1.0);
-    auto resolve_cycles = [mean_gap](Cycle configured, double factor) {
-        if (configured > 0)
-            return configured;
-        return std::max<Cycle>(
-            1, static_cast<Cycle>(std::llround(factor * mean_gap)));
-    };
-    const Cycle control_interval =
-        resolve_cycles(control.intervalCycles, 16.0);
-    const Cycle warmup_cycles = resolve_cycles(control.warmupCycles, 8.0);
-    const Cycle drain_cycles = resolve_cycles(control.drainCycles, 4.0);
-
-    std::unique_ptr<ScalingPolicy> scaler;
-    if (scaling_on)
-        scaler = api::Registry::global().makeScalingPolicy(
-            control.scalingPolicy, config_);
-
-    // Per-class replica bounds. The instance arena is laid out at
-    // each class's ceiling so autoscaling never reindexes anything;
-    // replicas beyond the initial count start Parked. Without
-    // autoscaling every ceiling equals the configured count.
-    std::vector<std::uint32_t> min_rep(num_classes);
-    std::vector<std::uint32_t> max_rep(num_classes);
-    std::vector<std::uint32_t> init_rep(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-        init_rep[c] = classes[c].count;
-        min_rep[c] = scaling_on && classes[c].minCount
-                         ? classes[c].minCount
-                         : classes[c].count;
-        max_rep[c] = scaling_on && classes[c].maxCount
-                         ? classes[c].maxCount
-                         : classes[c].count;
-        if (!scaling_on)
-            min_rep[c] = max_rep[c] = classes[c].count;
-    }
-    std::uint32_t total_instances = 0;
-    std::vector<std::uint32_t> class_start(num_classes, 0);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-        class_start[c] = total_instances;
-        total_instances += max_rep[c];
-    }
-    std::vector<std::uint32_t> class_of(total_instances, 0);
-    result.instances.resize(total_instances);
-
-    /** Replica lifecycle. Without the control plane every instance
-     *  just alternates Idle/Busy. */
-    enum class InstState : std::uint8_t {
-        Idle,     ///< active, free to dispatch (on its class heap)
-        Busy,     ///< active, serving a batch
-        Warming,  ///< scale-up in flight; online at warm_ready
-        Draining, ///< serving its last batch, parks at completion
-        Parked,   ///< offline capacity (above the active count)
-    };
-
-    // Per-class ready lists keyed (last-freed cycle, instance id):
-    // each class's top is its least-recently-freed instance (then
-    // lowest id), and instance ids are assigned in class blocks, so
-    // comparing class representatives in class order reproduces a
-    // whole-cluster least-recently-freed scan. Busy instances sit in
-    // one completion min-heap, making both "any instance free?" and
-    // "next completion event" O(log instances) instead of scans.
-    //
-    // Replica churn invalidates heap entries lazily: a free entry is
-    // live only while its key equals last_freed[id] and the instance
-    // is still Idle; a completion entry only while its key equals
-    // expected_completion[id] (warm-ups ride the completion heap as
-    // pseudo-completions validated against warm_ready[id]). Stale
-    // entries pop and drop. Only preemption and scaling ever
-    // invalidate an entry.
-    using InstanceKey = std::pair<Cycle, std::uint32_t>;
-    using InstanceMinHeap =
-        std::priority_queue<InstanceKey, std::vector<InstanceKey>,
-                            std::greater<InstanceKey>>;
-    std::vector<InstanceMinHeap> free_by_class(num_classes);
-    InstanceMinHeap completions;
-    // Queue-aware lookahead mirrors the completion pushes into
-    // per-class busy-until horizon heaps: each class's earliest
-    // expected completion (or warm-ready cycle) is heap-top, so
-    // scoring a busy class's wait-until-free costs O(1) amortized —
-    // no new scans in the hot loop. Entries invalidate lazily against
-    // expected_completion / warm_ready exactly like the completion
-    // heap's. Without lookahead nothing reads them, and nothing
-    // would ever pop them, so the heaps stay empty.
-    std::vector<InstanceMinHeap> horizon_by_class(
-        lookahead_on ? num_classes : 0);
-    std::size_t free_count = 0;
-    std::vector<InstState> state(total_instances, InstState::Parked);
-    std::vector<Cycle> last_freed(total_instances, 0);
-    std::vector<Cycle> expected_completion(total_instances, kNeverCycle);
-    std::vector<Cycle> warm_ready(total_instances, kNeverCycle);
-    std::vector<Cycle> park_ready(total_instances, 0);
-    std::vector<std::uint32_t> active_count(num_classes, 0);
-    std::vector<std::uint32_t> free_in_class(num_classes, 0);
+/** The request stream, generated one look-ahead arrival at a time:
+ *  generation never reads service state, so this reproduces the
+ *  up-front stream while holding one request instead of all. */
+class Arrivals
+{
+  public:
+    explicit Arrivals(const ServeConfig &config)
+        : generator_(config), left_(config.numRequests)
     {
-        std::uint32_t next = 0;
-        for (std::size_t c = 0; c < classes.size(); ++c)
-            for (std::uint32_t k = 0; k < max_rep[c]; ++k) {
-                result.instances[next].id = next;
-                result.instances[next].classIndex =
-                    static_cast<std::uint32_t>(c);
-                class_of[next] = static_cast<std::uint32_t>(c);
-                if (k < init_rep[c]) {
-                    state[next] = InstState::Idle;
-                    free_by_class[c].push({Cycle{0}, next});
-                    ++free_count;
-                    ++active_count[c];
-                    ++free_in_class[c];
-                }
-                ++next;
-            }
+        advance();
     }
 
-    // Power accounting: each running batch draws its priced joules
-    // over its priced service time; the cluster draw is the step
-    // function summing concurrent batches.
-    double current_watts = 0.0;
-    double peak_watts = 0.0;
-    std::vector<double> busy_watts(cap_on ? total_instances : 0, 0.0);
+    bool exhausted() const { return !head_; }
+    Cycle next() const { return head_ ? head_->arrival : kNeverCycle; }
 
-    // Running-batch bookkeeping for preemption (members to re-queue,
-    // the record to truncate, and what the victim has executed).
-    std::vector<std::vector<ServeRequest>> run_members(
-        preempt_on ? total_instances : 0);
-    std::vector<Cycle> run_dispatch(preempt_on ? total_instances : 0, 0);
-    std::vector<Cycle> run_service(preempt_on ? total_instances : 0, 0);
-    std::vector<double> run_joules(preempt_on ? total_instances : 0, 0.0);
-    std::vector<std::uint64_t> run_batch(preempt_on ? total_instances : 0,
-                                         0);
-    std::vector<Cycle> run_min_deadline(preempt_on ? total_instances : 0,
-                                        kNeverCycle);
-
-    // Scaling-signal window counters and the applied-action trail.
-    std::uint64_t window_dispatched = 0;
-    std::uint64_t window_missed = 0;
-    std::uint64_t scale_ups = 0;
-    std::uint64_t scale_downs = 0;
-    std::uint64_t power_deferred = 0;
-    std::uint64_t lookahead_holds = 0;
-    std::uint64_t affinity_hits = 0;
-    std::uint64_t affinity_migrations = 0;
-
-    // Affinity retention: the class that last served each scenario
-    // (num_classes = "none yet"), and the candidate scratch the
-    // routing scan fills per dispatch (hoisted out of the hot loop).
-    std::vector<std::size_t> last_class(
-        affinity_on ? num_scenarios : 0, num_classes);
-    struct Candidate
+    void admit(Cycle now, SchedulerPolicy &policy)
     {
-        bool eligible = false;
-        Cycle wait = 0;
-        Cycle cost = 0;
-        /** Integer completion horizon (wait + cost) the raw-cycles
-         *  path ranks on instead of a double score. */
-        Cycle completionKey = 0;
-        double score = 0.0;
-        InstanceKey rep{};
-    };
-    std::vector<Candidate> cands(num_classes);
-    std::uint64_t preempt_count = 0;
-    Cycle preempted_cycles = 0;
-    Cycle released_makespan = 0;
-    Cycle next_control = control_interval;
-    std::vector<std::vector<ServeStats::ReplicaSample>> timelines;
-    if (scaling_on) {
-        timelines.assign(num_classes, {});
-        for (std::size_t c = 0; c < num_classes; ++c)
-            timelines[c].push_back({Cycle{0}, init_rep[c]});
+        for (; head_ && head_->arrival <= now; advance())
+            policy.admit(*head_);
     }
 
-    // Batches the power cap refused to place: strict head-of-line —
-    // while one waits, nothing younger dispatches past it.
+  private:
+    void advance()
+    {
+        head_.reset();
+        if (left_ > 0) {
+            --left_;
+            head_ = generator_.next();
+        }
+    }
+
+    RequestGenerator generator_;
+    std::uint64_t left_;
+    std::optional<ServeRequest> head_;
+};
+
+/** The stats path: batches go to the streaming sink, or into
+ *  BatchRecords and their members' RequestRecords (indexed by id). */
+class Recorder
+{
+  public:
+    Recorder(const ServeConfig &config,
+             const std::vector<ClusterSpec::InstanceClass> &classes,
+             ServeResult &result)
+        : result_(result), tenants_(resolvedTenants(config))
+    {
+        for (const ClusterSpec::InstanceClass &cls : classes)
+            class_labels_.push_back(cls.label());
+        if (config.stats.streaming)
+            sink_.emplace(tenants_.size(), classes.size(),
+                          config.stats.reservoirCapacity, config.seed,
+                          config.stats.flushEveryRequests, &std::cerr);
+        else
+            result_.requests.resize(config.numRequests);
+    }
+
+    /** Returns the batch's BatchRecord index. */
+    std::uint64_t record(std::size_t cls, const RunningBatch &run,
+                         const std::vector<ServeRequest> &members)
+    {
+        const Cycle completion = run.dispatch + run.service;
+        if (sink_) {
+            sink_->onBatch(run.dispatch, completion, run.joules,
+                           static_cast<std::uint32_t>(cls), members);
+            return 0;
+        }
+        std::vector<RequestRecord> &requests = result_.requests;
+        BatchRecord batch{.id = result_.batches.size(),
+                          .scenario = members.front().scenario,
+                          .instance = run.instance,
+                          .dispatch = run.dispatch,
+                          .completion = completion,
+                          .requestIds = {},
+                          .joules = run.joules};
+        for (const ServeRequest &member : members) {
+            if (member.id >= requests.size())
+                throw std::invalid_argument(
+                    "serve: request id " + std::to_string(member.id) +
+                    " is out of range for a " +
+                    std::to_string(requests.size()) +
+                    "-request stream (ids must be dense and 0-based)");
+            requests[member.id] = {.id = member.id,
+                                   .tenant = member.tenant,
+                                   .scenario = member.scenario,
+                                   .arrival = member.arrival,
+                                   .deadline = member.deadline,
+                                   .dispatch = run.dispatch,
+                                   .completion = completion,
+                                   .instance = run.instance,
+                                   .batch = batch.id};
+            batch.requestIds.push_back(member.id);
+        }
+        result_.batches.push_back(std::move(batch));
+        return result_.batches.size() - 1;
+    }
+
+    /** Utilization and the aggregate stats over @p makespan. */
+    void finish(Cycle makespan)
+    {
+        ServeResult &r = result_;
+        r.makespan = makespan;
+        for (InstanceRecord &instance : r.instances)
+            instance.utilization =
+                makespan > 0 ? static_cast<double>(instance.busyCycles) /
+                                   static_cast<double>(makespan)
+                             : 0.0;
+        if (sink_)
+            r.stats = sink_->finish(r.instances, makespan, r.clockHz,
+                                    tenants_, class_labels_);
+        else
+            r.stats = computeServeStats(r.requests, r.batches, r.instances,
+                                        makespan, r.clockHz, tenants_,
+                                        class_labels_);
+    }
+
+  private:
+    ServeResult &result_;
+    std::vector<TenantMix> tenants_;
+    std::vector<std::string> class_labels_;
+    std::optional<StreamingStatsSink> sink_;
+};
+
+} // namespace
+
+ServeResult
+Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
+                    ServeResult result) const
+{
+    Recorder recorder(config_, classes, result);
+    Router router(config_, result);
+    const CostOracle oracle = std::bind_front(&Router::bestCase, &router);
+    const std::unique_ptr<SchedulerPolicy> policy =
+        api::Registry::global().makePolicy(config_.policy, config_);
+    policy->bindCostOracle(oracle);
+    ControlLoop control(config_, classes);
+    InstancePool pool(config_, classes, result.instances);
+    Arrivals arrivals(config_);
+    // Batches the cap refused, head-of-line: nothing younger passes.
     std::deque<std::vector<ServeRequest>> deferred;
-
-    const std::vector<TenantMix> tenants = resolvedTenants(config_);
-    std::optional<StreamingStatsSink> sink;
-    if (streaming)
-        sink.emplace(tenants.size(), num_classes,
-                     config_.stats.reservoirCapacity, config_.seed,
-                     config_.stats.flushEveryRequests, &std::cerr);
-
-    std::uint64_t served = 0;
+    std::uint64_t holds = 0, power_deferred = 0, served = 0;
     Cycle now = 0;
+    using Placement = Router::Placement;
 
-    while (served < total_requests) {
-        // Release completions due by now back onto their class's
-        // ready list. The freed key keeps the completion cycle, which
-        // least-recently-freed ties compare. Each entry is validated
-        // first (stale entries from preemptions and cancelled
-        // warm-ups drop), warm-ups come online, and draining
-        // replicas park instead of re-listing.
-        while (!completions.empty() && completions.top().first <= now) {
-            const InstanceKey done = completions.top();
-            completions.pop();
-            const std::uint32_t inst = done.second;
-            const std::uint32_t cls = class_of[inst];
-            if (state[inst] == InstState::Warming &&
-                done.first == warm_ready[inst]) {
-                state[inst] = InstState::Idle;
-                warm_ready[inst] = kNeverCycle;
-                free_by_class[cls].push(done);
-                last_freed[inst] = done.first;
-                ++free_count;
-                ++free_in_class[cls];
-                continue;
-            }
-            if ((state[inst] == InstState::Busy ||
-                 state[inst] == InstState::Draining) &&
-                done.first == expected_completion[inst]) {
-                expected_completion[inst] = kNeverCycle;
-                if (cap_on) {
-                    current_watts -= busy_watts[inst];
-                    busy_watts[inst] = 0.0;
-                    if (current_watts < 1e-9)
-                        current_watts = 0.0;
-                }
-                released_makespan =
-                    std::max(released_makespan, done.first);
-                if (state[inst] == InstState::Draining) {
-                    state[inst] = InstState::Parked;
-                    park_ready[inst] =
-                        satAddCycles(done.first, drain_cycles);
-                } else {
-                    state[inst] = InstState::Idle;
-                    free_by_class[cls].push(done);
-                    last_freed[inst] = done.first;
-                    ++free_count;
-                    ++free_in_class[cls];
-                }
-                continue;
-            }
-            // Stale: a cancelled warm-up, or the original completion
-            // of a batch that was preempted mid-flight.
-        }
-        while (pending && pending->arrival <= now) {
-            policy->admit(*pending);
-            refill();
-        }
-        const bool drain = !pending;
+    auto dispatch = [&](const std::vector<ServeRequest> &members) {
+        const std::uint32_t s = members.front().scenario;
+        const std::size_t size = members.size();
+        const Router::Route route = router.route(s, size, now, pool, control);
+        if (route.placement != Placement::Dispatched)
+            return route.placement;
+        policy->onDispatch(members, route.cost);
+        RunningBatch &run = pool.occupy(route.cls, now, route.cost, size);
+        run.joules = router.joules(route.cls, s, size);
+        run.record = recorder.record(route.cls, run, members);
+        control.charge(run, members, router.batchWatts(route.cls, s, size));
+        served += size;
+        return route.placement;
+    };
 
-        // Control tick: snapshot per-class signals, ask the scaling
-        // policy for a delta, apply it with warm-up/drain costs.
-        if (scaling_on && now >= next_control) {
-            for (std::size_t c = 0; c < num_classes; ++c) {
-                ScalingSignals signals;
-                signals.now = now;
-                signals.queuedRequests = policy->pending();
-                signals.activeReplicas = active_count[c];
-                signals.freeReplicas = free_in_class[c];
-                signals.minReplicas = min_rep[c];
-                signals.maxReplicas = max_rep[c];
-                signals.windowDispatched = window_dispatched;
-                signals.windowMissed = window_missed;
-                const std::int64_t target = std::clamp<std::int64_t>(
-                    static_cast<std::int64_t>(active_count[c]) +
-                        scaler->delta(signals),
-                    min_rep[c], max_rep[c]);
-                const std::uint32_t lo = class_start[c];
-                const std::uint32_t hi = lo + max_rep[c];
-                while (target >
-                       static_cast<std::int64_t>(active_count[c])) {
-                    // Bring up the lowest-id parked replica; it joins
-                    // the free list warmup_cycles after it can start
-                    // (its drain must have finished first).
-                    std::uint32_t pick = hi;
-                    for (std::uint32_t i = lo; i < hi; ++i)
-                        if (state[i] == InstState::Parked) {
-                            pick = i;
-                            break;
-                        }
-                    if (pick == hi)
-                        break;
-                    state[pick] = InstState::Warming;
-                    warm_ready[pick] = satAddCycles(
-                        std::max(now, park_ready[pick]), warmup_cycles);
-                    completions.push({warm_ready[pick], pick});
-                    if (lookahead_on)
-                        horizon_by_class[c].push(
-                            {warm_ready[pick], pick});
-                    ++active_count[c];
-                    ++scale_ups;
-                    timelines[c].push_back({now, active_count[c]});
-                }
-                while (target <
-                       static_cast<std::int64_t>(active_count[c])) {
-                    // Retire the highest-id replica that costs the
-                    // least to stop: cancel a warm-up, else park an
-                    // idle replica, else drain a busy one after its
-                    // in-flight batch.
-                    std::uint32_t pick = hi;
-                    for (std::uint32_t i = hi; i-- > lo;)
-                        if (state[i] == InstState::Warming) {
-                            pick = i;
-                            break;
-                        }
-                    if (pick != hi) {
-                        state[pick] = InstState::Parked;
-                        warm_ready[pick] = kNeverCycle;
-                        park_ready[pick] = now;
-                    } else {
-                        for (std::uint32_t i = hi; i-- > lo;)
-                            if (state[i] == InstState::Idle) {
-                                pick = i;
-                                break;
-                            }
-                        if (pick != hi) {
-                            state[pick] = InstState::Parked;
-                            park_ready[pick] =
-                                satAddCycles(now, drain_cycles);
-                            --free_count;
-                            --free_in_class[c];
-                        } else {
-                            for (std::uint32_t i = hi; i-- > lo;)
-                                if (state[i] == InstState::Busy) {
-                                    pick = i;
-                                    break;
-                                }
-                            if (pick == hi)
-                                break;
-                            state[pick] = InstState::Draining;
-                        }
-                    }
-                    --active_count[c];
-                    ++scale_downs;
-                    timelines[c].push_back({now, active_count[c]});
-                }
-            }
-            window_dispatched = 0;
-            window_missed = 0;
-            while (next_control <= now)
-                next_control =
-                    satAddCycles(next_control, control_interval);
-        }
+    while (served < config_.numRequests) {
+        pool.release(now, control);
+        arrivals.admit(now, *policy);
+        const bool drain = arrivals.exhausted();
+        control.tick(now, policy->pending(), pool);
 
-        // Route one batch: Dispatched commits it, Blocked reports
-        // that the power cap (the only reason routing can refuse
-        // while an instance is free) left it unplaced, and Held
-        // reports that lookahead/affinity chose a busy class that
-        // frees soon.
-        enum class Placement : std::uint8_t {
-            Dispatched,
-            Blocked,
-            Held,
-        };
-        auto dispatch_batch =
-            [&](const std::vector<ServeRequest> &members) -> Placement {
-            const std::uint32_t scenario = members.front().scenario;
-            const std::size_t batch_size = members.size();
-            const std::size_t score_idx =
-                std::min(batch_size, max_batch) - 1;
-
-            std::size_t best_class = num_classes;
-            bool cap_skipped = false;
-            bool affinity_hit = false;
-            bool affinity_migrated = false;
-
-            // Free classes are candidates at wait 0, scored from the
-            // static table. Under lookahead busy classes are too, at
-            // their heap-top busy-until horizon, scored per dispatch
-            // since the wait term is dynamic. The power cap filters
-            // only wait-0 candidates: holding for a busy class defers
-            // the draw to a completion that frees budget anyway.
-            for (std::size_t c = 0; c < num_classes; ++c) {
-                Candidate &cand = cands[c];
-                cand.eligible = false;
-                InstanceMinHeap &heap = free_by_class[c];
-                while (!heap.empty() &&
-                       (state[heap.top().second] != InstState::Idle ||
-                        heap.top().first != last_freed[heap.top().second]))
-                    heap.pop();
-                const Cycle cost = curveAt(curves[c][scenario], batch_size);
-                if (!heap.empty()) {
-                    if (cap_on) {
-                        const double watts =
-                            energyCurveAt(energy[c][scenario], batch_size) *
-                            clock_hz / static_cast<double>(cost);
-                        if (current_watts + watts > cap_watts) {
-                            cap_skipped = true;
-                            continue;
-                        }
-                    }
-                    cand.eligible = true;
-                    cand.wait = 0;
-                    cand.cost = cost;
-                    cand.completionKey = cost;
-                    cand.rep = heap.top();
-                    cand.score =
-                        raw_cycles ? 0.0 : scores[c][scenario][score_idx];
-                    continue;
-                }
-                if (!lookahead_on)
-                    continue;
-                InstanceMinHeap &busy = horizon_by_class[c];
-                while (!busy.empty()) {
-                    const auto [cycle, inst] = busy.top();
-                    if ((state[inst] == InstState::Busy &&
-                         cycle == expected_completion[inst]) ||
-                        (state[inst] == InstState::Warming &&
-                         cycle == warm_ready[inst]))
-                        break;
-                    busy.pop();
-                }
-                if (busy.empty())
-                    continue;
-                // Completions due by now were already released, so a
-                // live horizon is strictly in the future.
-                const Cycle wait = busy.top().first - now;
-                cand.eligible = true;
-                cand.wait = wait;
-                cand.cost = cost;
-                cand.completionKey = satAddCycles(wait, cost);
-                cand.rep = busy.top();
-                if (raw_cycles) {
-                    cand.score = 0.0;
-                } else {
-                    RouteCandidate rc;
-                    rc.classIndex = c;
-                    rc.waitCycles = wait;
-                    rc.serviceCycles = cost;
-                    rc.joules = energyCurveAt(energy[c][scenario], batch_size);
-                    rc.batchSize = batch_size;
-                    cand.score = objective->score(rc, clock_hz);
-                }
-            }
-            // Deterministic chain: score (raw integer completion
-            // horizon under "cycles"), then service cycles, then wait
-            // (a free class beats a busy tie), then the representative
-            // (last-freed, id) key. Class-blocked instance ids make
-            // that last compare reproduce a whole-cluster
-            // least-recently-freed scan.
-            for (std::size_t c = 0; c < num_classes; ++c) {
-                const Candidate &cand = cands[c];
-                if (!cand.eligible)
-                    continue;
-                if (best_class != num_classes) {
-                    const Candidate &best = cands[best_class];
-                    const int order =
-                        raw_cycles
-                            ? (cand.completionKey < best.completionKey   ? -1
-                               : cand.completionKey > best.completionKey ? 1
-                                                                         : 0)
-                            : compareScores(cand.score, best.score);
-                    if (order > 0 ||
-                        (order == 0 &&
-                         std::tie(cand.cost, cand.wait, cand.rep) >=
-                             std::tie(best.cost, best.wait, best.rep)))
-                        continue;
-                }
-                best_class = c;
-            }
-            // Affinity retention: stay on the scenario's last-served
-            // class unless the winner's score beats it by more than the
-            // configured relative margin. Without lookahead a busy
-            // incumbent is not a candidate, so retention only
-            // arbitrates among free classes.
-            if (affinity_on && best_class != num_classes) {
-                const std::size_t last = last_class[scenario];
-                if (last < num_classes && last != best_class &&
-                    cands[last].eligible) {
-                    auto metric = [raw_cycles](const Candidate &cand) {
-                        return raw_cycles
-                                   ? static_cast<double>(cand.completionKey)
-                                   : cand.score;
-                    };
-                    const double keep = 1.0 - routing.affinityMargin;
-                    if (metric(cands[best_class]) <
-                        metric(cands[last]) * keep) {
-                        affinity_migrated = true;
-                    } else {
-                        affinity_hit = true;
-                        best_class = last;
-                    }
-                }
-            }
-            if (best_class == num_classes && cap_skipped &&
-                current_watts <= 0.0) {
-                // Progress guarantee: an idle cluster always places
-                // the batch on its least-thirsty class, even when
-                // that one batch alone exceeds the cap — otherwise a
-                // cap below any single batch's draw would live-lock.
-                double min_watts = 0.0;
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    if (free_by_class[c].empty())
-                        continue;
-                    const Cycle cost =
-                        curveAt(curves[c][scenario], batch_size);
-                    const double watts =
-                        energyCurveAt(energy[c][scenario],
-                                      batch_size) *
-                        clock_hz / static_cast<double>(cost);
-                    if (best_class == num_classes ||
-                        watts < min_watts) {
-                        best_class = c;
-                        min_watts = watts;
-                        cands[c].wait = 0;
-                        cands[c].cost = cost;
-                        cands[c].rep = free_by_class[c].top();
-                    }
-                }
-            }
-            if (best_class == num_classes)
-                return Placement::Blocked;
-            const Candidate &win = cands[best_class];
-            if (win.wait > 0)
-                return Placement::Held;
-
-            const std::uint32_t inst = win.rep.second;
-            free_by_class[best_class].pop();
-            --free_count;
-
-            const Cycle service = win.cost;
-            policy->onDispatch(members, service);
-            const Cycle completion = now + service;
-            const double joules = energyCurveAt(
-                energy[best_class][scenario], batch_size);
-            const std::uint64_t batch_id =
-                streaming ? 0 : result.batches.size();
-
-            if (streaming) {
-                sink->onBatch(now, completion, joules,
-                              static_cast<std::uint32_t>(best_class),
-                              members);
-            } else {
-                BatchRecord batch;
-                batch.id = batch_id;
-                batch.scenario = scenario;
-                batch.instance = inst;
-                batch.dispatch = now;
-                batch.completion = completion;
-                batch.joules = joules;
-                for (const ServeRequest &member : members) {
-                    // The record arena is indexed by request id;
-                    // RequestGenerator assigns ids densely, so this
-                    // only trips on a hand-built stream.
-                    if (member.id >= result.requests.size())
-                        throw std::invalid_argument(
-                            "serve: request id " +
-                            std::to_string(member.id) +
-                            " is out of range for a " +
-                            std::to_string(result.requests.size()) +
-                            "-request stream (ids must be dense and "
-                            "0-based)");
-                    RequestRecord &record = result.requests[member.id];
-                    record.id = member.id;
-                    record.tenant = member.tenant;
-                    record.scenario = member.scenario;
-                    record.arrival = member.arrival;
-                    record.deadline = member.deadline;
-                    record.dispatch = batch.dispatch;
-                    record.completion = batch.completion;
-                    record.instance = batch.instance;
-                    record.batch = batch.id;
-                    batch.requestIds.push_back(member.id);
-                }
-                result.batches.push_back(std::move(batch));
-            }
-
-            state[inst] = InstState::Busy;
-            --free_in_class[best_class];
-            expected_completion[inst] = completion;
-            if (cap_on) {
-                const double watts =
-                    joules * clock_hz / static_cast<double>(service);
-                busy_watts[inst] = watts;
-                current_watts += watts;
-                peak_watts = std::max(peak_watts, current_watts);
-            }
-            if (scaling_on) {
-                window_dispatched += batch_size;
-                for (const ServeRequest &member : members)
-                    if (member.deadline != kNeverCycle &&
-                        completion > member.deadline)
-                        ++window_missed;
-            }
-            if (preempt_on) {
-                run_members[inst] = members;
-                run_dispatch[inst] = now;
-                run_service[inst] = service;
-                run_joules[inst] = joules;
-                run_batch[inst] = batch_id;
-                run_min_deadline[inst] = kNeverCycle;
-                for (const ServeRequest &member : members)
-                    run_min_deadline[inst] =
-                        std::min(run_min_deadline[inst], member.deadline);
-            }
-
-            InstanceRecord &instance = result.instances[inst];
-            ++instance.batches;
-            instance.requests += batch_size;
-            instance.busyCycles += service;
-            completions.push({completion, inst});
-            if (lookahead_on)
-                horizon_by_class[best_class].push({completion, inst});
-            if (affinity_on) {
-                if (affinity_hit)
-                    ++affinity_hits;
-                if (affinity_migrated)
-                    ++affinity_migrations;
-                last_class[scenario] = best_class;
-            }
-            served += batch_size;
-            return Placement::Dispatched;
-        };
-
-        // A tight-deadline head about to burn while every replica
-        // grinds a bulk batch: checkpoint-displace the bulk victim
-        // with the most remaining work, re-queue its members, and
-        // free its replica after the priced checkpoint overhead.
-        // Only fires when it can actually save the head's deadline.
-        auto try_preempt = [&]() -> bool {
-            const SchedulerPolicy::HeadPeek peek =
-                policy->peekHead(now, drain);
-            if (!peek.valid || peek.deadline == kNeverCycle)
-                return false;
-            const Cycle unit = oracle_table[peek.scenario][0];
-            Cycle earliest = kNeverCycle;
-            for (std::uint32_t i = 0; i < total_instances; ++i) {
-                if (state[i] == InstState::Busy ||
-                    state[i] == InstState::Draining)
-                    earliest =
-                        std::min(earliest, expected_completion[i]);
-                else if (state[i] == InstState::Warming)
-                    earliest = std::min(earliest, warm_ready[i]);
-            }
-            if (earliest == kNeverCycle ||
-                satAddCycles(earliest, unit) <= peek.deadline)
-                return false; // a replica frees in time anyway
-            std::uint32_t victim = total_instances;
-            Cycle victim_completion = 0;
-            for (std::uint32_t i = 0; i < total_instances; ++i)
-                if (state[i] == InstState::Busy &&
-                    run_min_deadline[i] == kNeverCycle &&
-                    !run_members[i].empty() &&
-                    expected_completion[i] > victim_completion) {
-                    victim = i;
-                    victim_completion = expected_completion[i];
-                }
-            if (victim == total_instances)
-                return false; // nothing bulk to displace
-            const Cycle executed = now - run_dispatch[victim];
-            const Cycle overhead = std::max<Cycle>(
-                1, static_cast<Cycle>(std::llround(
-                       control.preemptionOverheadFraction *
-                       static_cast<double>(run_service[victim]))));
-            if (satAddCycles(satAddCycles(now, overhead), unit) >
-                peek.deadline)
-                return false; // too late for the checkpoint to help
-
-            const std::size_t displaced = run_members[victim].size();
-            BatchRecord &batch = result.batches[run_batch[victim]];
-            batch.preempted = true;
-            batch.completion = now + overhead;
-            const double burned_fraction =
-                static_cast<double>(executed + overhead) /
-                static_cast<double>(run_service[victim]);
-            batch.joules = run_joules[victim] * burned_fraction;
-            InstanceRecord &vic = result.instances[victim];
-            vic.busyCycles -= run_service[victim];
-            vic.busyCycles += executed + overhead;
-            vic.requests -= displaced;
-            // busy_watts stays in place: the replica keeps drawing
-            // power through the checkpoint; the pseudo-completion at
-            // now + overhead subtracts it.
-            expected_completion[victim] = now + overhead;
-            completions.push({now + overhead, victim});
-            for (const ServeRequest &member : run_members[victim])
-                policy->admit(member);
-            served -= displaced;
-            run_members[victim].clear();
-            run_min_deadline[victim] = kNeverCycle;
-            ++preempt_count;
-            preempted_cycles += executed;
-            return true;
-        };
-
-        // Dispatch while a batch is formable and an instance is
-        // free. The policy picks the batch; routing then picks the
-        // class the configured objective scores best at the batch's
-        // actual size. A cap-deferred batch holds the line: nothing
-        // younger passes it, and it retries at every event until it
-        // fits. A lookahead-held batch re-enters the policy's queues
-        // instead, so it keeps growing while it waits for the busy
-        // class it scored best.
-        for (;;) {
+        // Dispatch while an instance is free: the policy picks the
+        // batch, the router its class. A cap-deferred batch retries
+        // first, at every event until it fits. A lookahead-held batch
+        // re-enters the policy's queues instead, so co-batchable
+        // arrivals can join while it waits for the class it chose.
+        while (pool.idleTotal() > 0) {
             if (!deferred.empty()) {
-                if (free_count == 0)
-                    break;
-                // A held verdict on a cap-deferred batch just waits:
-                // its members already left the policy once, and the
-                // completion it waits for is the next event anyway.
-                if (dispatch_batch(deferred.front()) !=
-                    Placement::Dispatched)
+                if (dispatch(deferred.front()) != Placement::Dispatched)
                     break;
                 deferred.pop_front();
                 continue;
             }
-            if (free_count == 0) {
-                if (preempt_on)
-                    try_preempt();
-                break;
-            }
             if (!policy->ready(now, drain))
                 break;
-
-            std::vector<ServeRequest> members =
-                policy->pop(now, drain);
-            const Placement placed = dispatch_batch(members);
+            std::vector<ServeRequest> members = policy->pop(now, drain);
+            const Placement placed = dispatch(members);
+            if (placed == Placement::Dispatched)
+                continue;
             if (placed == Placement::Held) {
-                // The batch waits for a busy class that frees soon.
-                // Its members re-enter the policy's queues — the
-                // same re-admission preemption uses — so co-batchable
-                // arrivals can still join, and the dispatch retries
-                // at the completion (or arrival) event that changes
-                // the scores. Head-of-line: nothing else dispatches
-                // this event.
-                ++lookahead_holds;
+                ++holds;
                 for (const ServeRequest &member : members)
                     policy->admit(member);
-                break;
-            }
-            if (placed == Placement::Blocked) {
+            } else {
                 deferred.push_back(std::move(members));
                 ++power_deferred;
-                break;
             }
+            break; // head-of-line: nothing else dispatches this event
         }
-
-        if (served == total_requests)
+        if (pool.idleTotal() == 0 && deferred.empty() && control.preempts())
+            served -= control.preempt(now, drain, *policy, oracle, pool,
+                                      result.batches);
+        if (served == config_.numRequests)
             break;
 
-        // Advance to the next event: an arrival, a queue-head batch
-        // timeout, an instance completion (or warm-up), or a control
-        // tick.
-        Cycle next = kNeverCycle;
-        if (pending)
-            next = std::min(next, pending->arrival);
+        // Advance to the next event: an arrival, a control tick, or,
+        // while work waits, a completion (or warm-up) or a future
+        // queue-head timeout (a past one already made its queue ready,
+        // so a busy instance is the blocker).
+        Cycle next = std::min(arrivals.next(), control.nextTick());
         if (!policy->empty() || !deferred.empty()) {
-            // A timeout already in the past made its queue ready; the
-            // blocker is then a busy instance, so only future expiries
-            // are events.
             const Cycle timeout = policy->nextTimeout();
             if (!drain && timeout > now)
                 next = std::min(next, timeout);
-            if (!completions.empty())
-                next = std::min(next, completions.top().first);
+            next = std::min(next, pool.nextCompletion());
         }
-        if (scaling_on && next_control > now)
-            next = std::min(next, next_control);
         if (next == kNeverCycle || next <= now)
             throw std::logic_error("serve: scheduler cannot advance");
         now = next;
     }
 
-    // Work completions still in flight at exit count toward the
-    // makespan; warm-up pseudo-completions and stale entries from
-    // preemptions do not.
-    result.makespan = released_makespan;
-    for (; !completions.empty(); completions.pop()) {
-        const auto [cycle, inst] = completions.top();
-        if ((state[inst] == InstState::Busy ||
-             state[inst] == InstState::Draining) &&
-            cycle == expected_completion[inst])
-            result.makespan = std::max(result.makespan, cycle);
-    }
-
-    for (InstanceRecord &instance : result.instances)
-        instance.utilization =
-            result.makespan > 0
-                ? static_cast<double>(instance.busyCycles) /
-                      static_cast<double>(result.makespan)
-                : 0.0;
-
-    std::vector<std::string> class_labels;
-    class_labels.reserve(classes.size());
-    for (const ClusterSpec::InstanceClass &cls : classes)
-        class_labels.push_back(cls.label());
-
-    if (streaming)
-        result.stats =
-            sink->finish(result.instances, result.makespan,
-                         result.clockHz, tenants, class_labels);
-    else
-        result.stats = computeServeStats(
-            result.requests, result.batches, result.instances,
-            result.makespan, result.clockHz, tenants, class_labels);
+    recorder.finish(pool.makespan());
     ServeStats &stats = result.stats;
     stats.deadlineCapsAvoided = policy->deadlineCapsAvoided();
-    stats.lookaheadHolds = lookahead_holds;
-    stats.affinityHits = affinity_hits;
-    stats.affinityMigrations = affinity_migrations;
+    stats.lookaheadHolds = holds;
     stats.powerDeferredBatches = power_deferred;
-    stats.peakClusterWatts = peak_watts;
-    // Like the rest of the control-plane accounting, reported only
-    // while the plane is on.
-    if (control_on && result.makespan > 0)
-        stats.meanClusterWatts = stats.totalJoules * clock_hz /
-                                 static_cast<double>(result.makespan);
-    stats.preemptions = preempt_count;
-    stats.preemptedCycles = preempted_cycles;
-    stats.scaleUpEvents = scale_ups;
-    stats.scaleDownEvents = scale_downs;
-    stats.replicaTimelines = std::move(timelines);
+    router.report(stats);
+    control.report(stats, result.makespan, result.clockHz);
     return result;
 }
 

@@ -92,10 +92,11 @@ struct ServeResult
  * prices each (instance class, scenario) pair into a cost curve with
  * one Platform run plus the configured BatchCostModel (through the
  * PricedScenarioCache), then advances cluster time over arrivals,
- * batch timeouts, and instance completions, dispatching
- * policy-chosen batches to the cheapest free instance class.
- * Deterministic: equal configs yield equal results, including the
- * full per-request trace.
+ * batch timeouts, instance completions and control ticks. Each
+ * policy-chosen batch routes to the class its RouteObjective ranks
+ * best at the batch's size; under lookahead that may be a busy class
+ * the batch then waits for, and a power cap can defer it. Equal
+ * configs yield equal results, including the per-request trace.
  */
 class Scheduler
 {
@@ -127,11 +128,11 @@ class Scheduler
     api::RunSpec classSpec(const ClusterSpec::InstanceClass &cls,
                            const ServeScenario &scenario) const;
 
-    /** Event loop over a priced cluster. */
+    /** Event loop over a priced cluster: @p priced carries the
+     *  config echo and the curves in the cluster time base. */
     ServeResult
     simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
-             const CostCurves &curves, const EnergyCurves &energy,
-             double clock_hz) const;
+             ServeResult priced) const;
 
     ServeConfig config_;
 };

@@ -207,15 +207,18 @@ struct ServeStats
     /** Per-class breakdown, in resolved cluster-class order. */
     std::vector<ClassStats> classStats;
 
-    // --- Control-plane accounting (all zero/empty with the control
-    // --- plane off, so default-config JSON stays byte-identical).
+    // --- Control-plane accounting. The counters stay zero/empty with
+    // --- their half of the plane off; the two cluster-draw figures
+    // --- are tracked on every run, though JSON emits them only under
+    // --- a power cap, so default-config JSON stays byte-identical.
 
     /** Batches whose dispatch the cluster-wide power cap deferred
      *  (counted once per batch, however long it waited). */
     std::uint64_t powerDeferredBatches = 0;
 
     /** Highest modeled cluster draw at any event instant, watts
-     *  (sum over concurrently-running batches of joules/seconds). */
+     *  (sum over concurrently-running batches of joules/seconds),
+     *  with or without a cap. */
     double peakClusterWatts = 0.0;
 
     /** totalJoules over the makespan wall time, watts. */

@@ -152,6 +152,41 @@ TEST(ControlPlane, NonBindingCapReproducesLegacySchedule)
     EXPECT_GT(result.stats.peakClusterWatts, 0.0);
 }
 
+TEST(ControlPlane, PeakWattsTrackedWithoutACap)
+{
+    // The power ledger runs on every run, not only under a cap: an
+    // uncapped run reports the same peak as the same schedule under a
+    // cap that never binds, and that peak is at least the mean draw.
+    for (const char *scaling : {"static", "queue-depth"}) {
+        ServeConfig config = makeConfig(2, 7);
+        config.numRequests = 256;
+        config.meanInterarrivalCycles = 6000.0;
+        config.arrival.process = "heavy-tail";
+        config.control.scalingPolicy = scaling;
+        config.control.minInstances = 1;
+        config.control.maxInstances = 3;
+        const ServeResult uncapped = runServe(config);
+        config.control.powerCapWatts = 1000.0;
+        const ServeResult capped = runServe(config);
+
+        expectSameSchedule(uncapped, capped);
+        EXPECT_GT(uncapped.stats.peakClusterWatts, 0.0) << scaling;
+        EXPECT_EQ(uncapped.stats.peakClusterWatts,
+                  capped.stats.peakClusterWatts)
+            << scaling;
+        EXPECT_EQ(uncapped.stats.meanClusterWatts,
+                  capped.stats.meanClusterWatts)
+            << scaling;
+        EXPECT_GE(uncapped.stats.peakClusterWatts,
+                  uncapped.stats.meanClusterWatts)
+            << scaling;
+        EXPECT_NEAR(uncapped.stats.peakClusterWatts,
+                    reconstructedPeakWatts(uncapped),
+                    1e-9 * uncapped.stats.peakClusterWatts)
+            << scaling;
+    }
+}
+
 // ---- autoscaling ---------------------------------------------------
 
 TEST(ControlPlane, ReplicaCountsStayWithinBounds)
