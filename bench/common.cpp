@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 
 #include "api/dataset_cache.hpp"
@@ -81,12 +82,19 @@ gpuWouldOomFullSize(ModelId m, DatasetId ds)
     return working_set > static_cast<double>(gc.memCapacityBytes);
 }
 
-std::string
-jsonNumber(double v)
+bool
+writeJson(const std::string &path, const std::string &json,
+          const char *note)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    if (!file.good()) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        return false;
+    }
+    file << json << "\n";
+    std::printf("wrote %s%s (%zu bytes)\n", path.c_str(), note,
+                json.size() + 1);
+    return true;
 }
 
 void

@@ -16,6 +16,7 @@
 #include "api/session.hpp"
 #include "graph/dataset.hpp"
 #include "model/models.hpp"
+#include "sim/json.hpp"
 
 namespace hygcn::bench {
 
@@ -49,11 +50,12 @@ ModelConfig model(ModelId id, DatasetId ds);
 bool gpuWouldOomFullSize(ModelId m, DatasetId ds);
 
 /**
- * Format a metric for the BENCH_*.json emitters (%.9g). One shared
- * definition so every emitted bench JSON agrees with the checked-in
- * baselines' formatting.
+ * Write a BENCH_*.json document (@p json plus a newline) to @p path
+ * and print "wrote <path><note> (<bytes> bytes)". False, with an
+ * error on stderr, when the file cannot be written.
  */
-std::string jsonNumber(double v);
+bool writeJson(const std::string &path, const std::string &json,
+               const char *note = "");
 
 /** Print the harness banner: figure/table id and description. */
 void banner(const std::string &experiment, const std::string &what);

@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -138,36 +137,24 @@ main(int argc, char **argv)
                 sum_cpu / n_cpu, sum_gpu / n_gpu);
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"fig10_speedup\",\"cpu_opt\":[";
-        for (std::size_t i = 0; i < cpu_opt.size(); ++i) {
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + cpu_opt[i].first +
-                   "\",\"speedup\":" + jsonNumber(cpu_opt[i].second) + "}";
-        }
-        out += "],\"hygcn\":[";
-        for (std::size_t i = 0; i < hygcn_points.size(); ++i) {
-            const SpeedupPoint &point = hygcn_points[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + point.label +
-                   "\",\"vs_cpu\":" + jsonNumber(point.vsCpu);
+        JsonWriter w;
+        w.beginObject().field("bench", "fig10_speedup").key("cpu_opt");
+        w.array(cpu_opt, [&](const auto &c) {
+            w.beginObject()
+                .field("case", c.first)
+                .field("speedup", c.second)
+                .endObject();
+        });
+        w.key("hygcn").array(hygcn_points, [&](const SpeedupPoint &point) {
             // OoM cells carry no GPU number, matching the table.
-            if (point.vsGpu > 0.0)
-                out += ",\"vs_gpu\":" + jsonNumber(point.vsGpu);
-            out += "}";
-        }
-        out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+            w.beginObject()
+                .field("case", point.label)
+                .field("vs_cpu", point.vsCpu)
+                .fieldIf(point.vsGpu > 0.0, "vs_gpu", point.vsGpu)
+                .endObject();
+        });
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

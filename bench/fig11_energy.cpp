@@ -15,7 +15,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -87,29 +86,18 @@ main(int argc, char **argv)
                 sum_h / n, sum_hg / ng);
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"fig11_energy\",\"hygcn\":[";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const EnergyPoint &point = points[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + point.label +
-                   "\",\"vs_cpu_pct\":" + jsonNumber(point.vsCpuPct);
+        JsonWriter w;
+        w.beginObject().field("bench", "fig11_energy").key("hygcn");
+        w.array(points, [&](const EnergyPoint &point) {
             // OoM cells carry no GPU number, matching the table.
-            if (point.vsGpuPct > 0.0)
-                out += ",\"vs_gpu_pct\":" + jsonNumber(point.vsGpuPct);
-            out += "}";
-        }
-        out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+            w.beginObject()
+                .field("case", point.label)
+                .field("vs_cpu_pct", point.vsCpuPct)
+                .fieldIf(point.vsGpuPct > 0.0, "vs_gpu_pct", point.vsGpuPct)
+                .endObject();
+        });
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

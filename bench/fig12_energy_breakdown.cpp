@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -71,28 +70,18 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::string out =
-            "{\"bench\":\"fig12_energy_breakdown\",\"hygcn\":[";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const BreakdownPoint &point = points[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + point.label +
-                   "\",\"agg_pct\":" + jsonNumber(point.aggPct) +
-                   ",\"comb_pct\":" + jsonNumber(point.combPct) +
-                   ",\"coord_pct\":" + jsonNumber(point.coordPct) + "}";
-        }
-        out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        JsonWriter w;
+        w.beginObject().field("bench", "fig12_energy_breakdown").key("hygcn");
+        w.array(points, [&](const BreakdownPoint &point) {
+            w.beginObject()
+                .field("case", point.label)
+                .field("agg_pct", point.aggPct)
+                .field("comb_pct", point.combPct)
+                .field("coord_pct", point.coordPct)
+                .endObject();
+        });
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

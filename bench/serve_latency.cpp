@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -162,49 +161,33 @@ main(int argc, char **argv)
                 "queueing delay, then saturate once arrivals dominate\n");
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"serve_latency\",\"series\":[";
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            const serve::ServeStats &s = series[i].stats;
-            if (i)
-                out += ",";
-            out += "{\"instances\":" +
-                   std::to_string(series[i].instances) +
-                   ",\"throughput_rps\":" + jsonNumber(s.throughputRps) +
-                   ",\"p50_latency_cycles\":" +
-                   jsonNumber(s.p50LatencyCycles) +
-                   ",\"p95_latency_cycles\":" +
-                   jsonNumber(s.p95LatencyCycles) +
-                   ",\"p99_latency_cycles\":" +
-                   jsonNumber(s.p99LatencyCycles) +
-                   ",\"makespan_cycles\":" +
-                   std::to_string(s.makespanCycles) + "}";
-        }
-        out += "],\"policies\":[";
-        for (std::size_t i = 0; i < policies.size(); ++i) {
-            const serve::ServeStats &s = policies[i].second;
-            if (i)
-                out += ",";
-            out += "{\"policy\":\"" + policies[i].first +
-                   "\",\"throughput_rps\":" + jsonNumber(s.throughputRps) +
-                   ",\"p99_latency_cycles\":" +
-                   jsonNumber(s.p99LatencyCycles) +
-                   ",\"interactive_p99_cycles\":" +
-                   jsonNumber(s.tenantStats.at(0).p99LatencyCycles) +
-                   ",\"interactive_slo_violations\":" +
-                   std::to_string(s.tenantStats.at(0).sloViolations) +
-                   "}";
-        }
-        out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        JsonWriter w;
+        w.beginObject().field("bench", "serve_latency").key("series");
+        w.array(series, [&](const auto &point) {
+            const serve::ServeStats &s = point.stats;
+            w.beginObject()
+                .field("instances", point.instances)
+                .field("throughput_rps", s.throughputRps)
+                .field("p50_latency_cycles", s.p50LatencyCycles)
+                .field("p95_latency_cycles", s.p95LatencyCycles)
+                .field("p99_latency_cycles", s.p99LatencyCycles)
+                .field("makespan_cycles", s.makespanCycles)
+                .endObject();
+        });
+        w.key("policies").array(policies, [&](const auto &policy) {
+            const serve::ServeStats &s = policy.second;
+            w.beginObject()
+                .field("policy", policy.first)
+                .field("throughput_rps", s.throughputRps)
+                .field("p99_latency_cycles", s.p99LatencyCycles)
+                .field("interactive_p99_cycles",
+                       s.tenantStats.at(0).p99LatencyCycles)
+                .field("interactive_slo_violations",
+                       s.tenantStats.at(0).sloViolations)
+                .endObject();
+        });
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
 
     if (!sweep_json_path.empty()) {
@@ -228,17 +211,8 @@ main(int argc, char **argv)
                         agg.p99LatencyCycles.stddev / 1e3,
                         agg.sloViolations.mean,
                         agg.sloViolations.stddev);
-        std::ofstream file(sweep_json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         sweep_json_path.c_str());
+        if (!writeJson(sweep_json_path, toJson(aggregates)))
             return 1;
-        }
-        const std::string out = toJson(aggregates);
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", sweep_json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

@@ -29,7 +29,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -209,34 +208,22 @@ main(int argc, char **argv)
                 "every case\n");
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"serve_lookahead\",\"series\":[";
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            const serve::ServeStats &s = series[i].second;
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + series[i].first.name +
-                   "\",\"total_joules\":" + jsonNumber(s.totalJoules) +
-                   ",\"p99_latency_cycles\":" +
-                   jsonNumber(s.p99LatencyCycles) +
-                   ",\"mean_batch_size\":" +
-                   jsonNumber(s.meanBatchSize) +
-                   ",\"lookahead_holds\":" +
-                   std::to_string(s.lookaheadHolds) +
-                   ",\"affinity_hits\":" +
-                   std::to_string(s.affinityHits) + "}";
-        }
-        out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        JsonWriter w;
+        w.beginObject().field("bench", "serve_lookahead").key("series");
+        w.array(series, [&](const auto &point) {
+            const serve::ServeStats &s = point.second;
+            w.beginObject()
+                .field("case", point.first.name)
+                .field("total_joules", s.totalJoules)
+                .field("p99_latency_cycles", s.p99LatencyCycles)
+                .field("mean_batch_size", s.meanBatchSize)
+                .field("lookahead_holds", s.lookaheadHolds)
+                .field("affinity_hits", s.affinityHits)
+                .endObject();
+        });
+        if (!writeJson(json_path, w.endObject().str(),
+                       as_baseline ? " as baseline" : ""))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s%s (%zu bytes)\n", json_path.c_str(),
-                    as_baseline ? " as baseline" : "",
-                    out.size() + 1);
     }
     return 0;
 }

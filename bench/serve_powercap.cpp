@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -148,38 +147,23 @@ main(int argc, char **argv)
                 "tighter budgets trade tail latency for watts\n");
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"serve_powercap\",\"series\":[";
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            const serve::ServeStats &s = series[i].second;
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + series[i].first.name +
-                   "\",\"cap_watts\":" +
-                   jsonNumber(series[i].first.capWatts) +
-                   ",\"peak_cluster_watts\":" +
-                   jsonNumber(s.peakClusterWatts) +
-                   ",\"mean_cluster_watts\":" +
-                   jsonNumber(s.meanClusterWatts) +
-                   ",\"power_deferred_batches\":" +
-                   std::to_string(s.powerDeferredBatches) +
-                   ",\"p99_latency_cycles\":" +
-                   jsonNumber(s.p99LatencyCycles) +
-                   ",\"interactive_slo_violations\":" +
-                   std::to_string(
-                       s.tenantStats.at(0).sloViolations) +
-                   "}";
-        }
-        out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        JsonWriter w;
+        w.beginObject().field("bench", "serve_powercap").key("series");
+        w.array(series, [&](const auto &point) {
+            const serve::ServeStats &s = point.second;
+            w.beginObject()
+                .field("case", point.first.name)
+                .field("cap_watts", point.first.capWatts)
+                .field("peak_cluster_watts", s.peakClusterWatts)
+                .field("mean_cluster_watts", s.meanClusterWatts)
+                .field("power_deferred_batches", s.powerDeferredBatches)
+                .field("p99_latency_cycles", s.p99LatencyCycles)
+                .field("interactive_slo_violations",
+                       s.tenantStats.at(0).sloViolations)
+                .endObject();
+        });
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

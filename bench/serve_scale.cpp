@@ -213,34 +213,21 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(requests));
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"serve_scale\",\"series\":[";
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            const ScalePoint &p = series[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + p.label +
-                   "\",\"requests\":" + std::to_string(p.requests) +
-                   ",\"wall_seconds\":" + jsonNumber(p.wallSeconds) +
-                   ",\"sim_rps\":" + jsonNumber(p.simRps / derate) +
-                   ",\"p99_latency_cycles\":" +
-                   jsonNumber(p.stats.p99LatencyCycles) +
-                   ",\"peak_rss_mib\":" + jsonNumber(peakRssMiB()) +
-                   "}";
-        }
-        out += "]";
-        if (derate != 1.0)
-            out += ",\"baseline_derate\":" + jsonNumber(derate);
-        out += "}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        JsonWriter w;
+        w.beginObject().field("bench", "serve_scale").key("series");
+        w.array(series, [&](const ScalePoint &p) {
+            w.beginObject()
+                .field("case", p.label)
+                .field("requests", p.requests)
+                .field("wall_seconds", p.wallSeconds)
+                .field("sim_rps", p.simRps / derate)
+                .field("p99_latency_cycles", p.stats.p99LatencyCycles)
+                .field("peak_rss_mib", peakRssMiB())
+                .endObject();
+        });
+        w.fieldIf(derate != 1.0, "baseline_derate", derate);
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
 
     if (failures > 0) {

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -255,35 +254,23 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"spmm_kernels\",\"cases\":[";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const CaseResult &r = results[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + r.name +
-                   "\",\"vertices\":" + std::to_string(r.vertices) +
-                   ",\"features\":" + std::to_string(r.features) +
-                   ",\"scalar_ms\":" + jsonNumber(r.scalarMs) +
-                   ",\"vec_ms\":" + jsonNumber(r.vecMs) +
-                   ",\"speedup_vec\":" +
-                   jsonNumber(r.speedupVec / derate) +
-                   ",\"speedup_t2\":" + jsonNumber(r.speedupT2) +
-                   ",\"speedup_t4\":" + jsonNumber(r.speedupT4) + "}";
-        }
-        out += "]";
-        if (derate != 1.0)
-            out += ",\"baseline_derate\":" + jsonNumber(derate);
-        out += "}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        JsonWriter w;
+        w.beginObject().field("bench", "spmm_kernels").key("cases");
+        w.array(results, [&](const CaseResult &r) {
+            w.beginObject()
+                .field("case", r.name)
+                .field("vertices", r.vertices)
+                .field("features", r.features)
+                .field("scalar_ms", r.scalarMs)
+                .field("vec_ms", r.vecMs)
+                .field("speedup_vec", r.speedupVec / derate)
+                .field("speedup_t2", r.speedupT2)
+                .field("speedup_t4", r.speedupT4)
+                .endObject();
+        });
+        w.fieldIf(derate != 1.0, "baseline_derate", derate);
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
 
     if (!ok) {

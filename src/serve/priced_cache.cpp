@@ -49,9 +49,10 @@ PricedScenarioCache::price(const std::string &platform,
                            const api::RunSpec &spec, Tally *tally)
 {
     // The spec JSON echoes every pricing-relevant field (platform,
-    // dataset/model/seeds/scale, the full accelerator config, varied
-    // parameters, co-batch copies), so it doubles as an exact,
-    // human-debuggable key.
+    // dataset/model/seeds/scale, the full accelerator config including
+    // off-default HBM and energy tables, varied parameters, co-batch
+    // copies), so it doubles as an exact, human-debuggable key: two
+    // instance classes differing in any one config field price apart.
     api::RunSpec keyed = spec;
     keyed.platform = platform;
     const std::string key = toJson(keyed);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -326,6 +328,67 @@ TEST(Platform, ReVariedParameterKeepsLastValueInJson)
         ++count;
     EXPECT_EQ(count, 1u);
     EXPECT_NE(varied.find("\"aggBufBytes\":2097152"), std::string::npos);
+}
+
+TEST(Platform, EveryAcceleratorConfigFieldChangesTheSpecJson)
+{
+    // The echo keys the priced-scenario cache: a field it leaves out
+    // would let two differently-configured instance classes share one
+    // price.
+    using Edit = std::function<void(HyGCNConfig &)>;
+#define EDIT(member, v) {#member, [](HyGCNConfig &c) { c.member = v; }}
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        EDIT(simdCores, 16),
+        EDIT(simdWidth, 8),
+        EDIT(aggMode, AggMode::VertexConcentrated),
+        EDIT(systolicModules, 4),
+        EDIT(moduleRows, 8),
+        EDIT(moduleCols, 64),
+        EDIT(inputBufBytes, 64u << 10),
+        EDIT(edgeBufBytes, 1u << 20),
+        EDIT(weightBufBytes, 1u << 20),
+        EDIT(outputBufBytes, 2u << 20),
+        EDIT(aggBufBytes, 8u << 20),
+        EDIT(hbm.channels, 4),
+        EDIT(hbm.banksPerChannel, 8),
+        EDIT(hbm.rowBytes, 1024),
+        EDIT(hbm.tRP, 15),
+        EDIT(hbm.tRCD, 15),
+        EDIT(hbm.tCAS, 15),
+        EDIT(hbm.bytesPerCycle, 4),
+        EDIT(hbm.lowBitChannelInterleave, false),
+        EDIT(sparsityElimination, false),
+        EDIT(interEnginePipeline, false),
+        EDIT(memoryCoordination, false),
+        EDIT(pipelineMode, PipelineMode::EnergyAware),
+        EDIT(clockHz, 5e8),
+        EDIT(energy.macOp, 0.7),
+        EDIT(energy.simdOp, 0.4),
+        EDIT(energy.activationOp, 0.2),
+        EDIT(energy.controlOp, 0.06),
+        EDIT(energy.edramSmallPerByte, 0.09),
+        EDIT(energy.edramMidPerByte, 0.31),
+        EDIT(energy.edramLargePerByte, 0.36),
+        EDIT(energy.hbmPerBit, 3.9),
+        EDIT(energy.ddr4PerBit, 15.0),
+        EDIT(energy.cpuCachePerByte, 1.3),
+        EDIT(energy.cpuOp, 61.0),
+        EDIT(energy.gpuOp, 13.0),
+        EDIT(energy.gpuSramPerByte, 2.1),
+    };
+#undef EDIT
+    const std::string base = toJson(RunSpec{});
+    // Default HBM and energy tables stay out of the echo, so default
+    // keys and goldens keep their bytes.
+    EXPECT_EQ(base.find("\"hbm\""), std::string::npos);
+    EXPECT_EQ(base.find("\"energy\""), std::string::npos);
+    std::set<std::string> seen = {base};
+    for (const auto &[name, edit] : edits) {
+        RunSpec spec;
+        edit(spec.hygcn);
+        EXPECT_TRUE(seen.insert(toJson(spec)).second)
+            << name << " does not change the echo";
+    }
 }
 
 TEST(Platform, RunOneRejectsMultiRunSweeps)

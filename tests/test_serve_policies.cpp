@@ -455,6 +455,29 @@ TEST(PricedScenarioCache, KeysSeparatePerClassConfigs)
               result.unitCyclesByClass[1][0]);
 }
 
+TEST(PricedScenarioCache, KeysSeparateClassesDifferingOnlyInHbm)
+{
+    // The paper's HBM 1.0 (256 GB/s) beside an eighth of its
+    // bandwidth: the slow class must price as it does on its own, not
+    // share the default class's cache entry.
+    PricedScenarioCache &cache = PricedScenarioCache::global();
+    cache.clear();
+    ServeConfig config = aggConfig();
+    config.scenarios.resize(1);
+    HyGCNConfig slow;
+    slow.hbm.bytesPerCycle = 4;
+    config.cluster.classes = {{"hygcn", 1, {}, "hbm1"},
+                              {"hygcn", 1, slow, "slow"}};
+    const ServeResult mixed = runServe(config);
+    ASSERT_EQ(mixed.unitCyclesByClass.size(), 2u);
+    EXPECT_LT(mixed.unitCyclesByClass[0][0], mixed.unitCyclesByClass[1][0]);
+
+    cache.clear();
+    config.cluster.classes = {{"hygcn", 1, slow, "slow"}};
+    const ServeResult alone = runServe(config);
+    EXPECT_EQ(mixed.unitCyclesByClass[1], alone.unitCyclesByClass[0]);
+}
+
 TEST(PricedScenarioCache, FailedPricingIsCachedAndRethrown)
 {
     PricedScenarioCache &cache = PricedScenarioCache::global();
