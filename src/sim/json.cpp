@@ -149,9 +149,10 @@ void
 writeIfOffDefault(JsonWriter &w, std::string_view name, const S &s,
                   const Fields &fields)
 {
+    const S defaults{};
     std::apply(
         [&](const auto &...f) {
-            if (((s.*f.second == S{}.*f.second) && ...))
+            if (((s.*f.second == defaults.*f.second) && ...))
                 return;
             w.key(name).beginObject();
             (w.field(f.first, s.*f.second), ...);
